@@ -7,9 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use leakctl_bench::{room_network, HeteroRackKernel, RackKernel, ShardedRackKernel};
-use leakctl_thermal::{
-    CsrTransientSolver, DenseTransientSolver, Integrator, ShardPlan, TransientSolver,
-};
+use leakctl_thermal::{CsrBackend, DenseBackend, Integrator, ShardPlan, TransientSolver};
 use leakctl_units::{AirFlow, Celsius, SimDuration, Watts};
 
 fn bench_rack_scale(c: &mut Criterion) {
@@ -136,7 +134,7 @@ fn bench_rack_scale(c: &mut Criterion) {
             let mut state = net.uniform_state(Celsius::new(18.0));
             let dt = SimDuration::from_secs(1);
             if sparse {
-                let mut solver = CsrTransientSolver::with_backend(&net);
+                let mut solver = TransientSolver::<CsrBackend>::with_backend(&net);
                 b.iter(|| {
                     for _ in 0..50 {
                         solver
@@ -146,7 +144,7 @@ fn bench_rack_scale(c: &mut Criterion) {
                     state.max_temperature()
                 })
             } else {
-                let mut solver = DenseTransientSolver::with_backend(&net);
+                let mut solver = TransientSolver::<DenseBackend>::with_backend(&net);
                 b.iter(|| {
                     for _ in 0..50 {
                         solver

@@ -101,8 +101,8 @@ pub struct Building {
     room_crah_health: Vec<f64>,
     /// Supervision knob: activity fraction each room may run.
     power_caps: Vec<f64>,
-    /// Scratch: per-room activity after power caps.
-    eff_loads: Vec<Utilization>,
+    /// Scratch: per-room power caps as activity limits.
+    caps: Vec<Utilization>,
     accounted: SimDuration,
 }
 
@@ -137,7 +137,7 @@ impl Building {
             commanded_supply,
             room_crah_health: vec![1.0; n],
             power_caps: vec![1.0; n],
-            eff_loads: Vec::with_capacity(n),
+            caps: Vec::with_capacity(n),
             accounted: SimDuration::ZERO,
         })
     }
@@ -234,8 +234,8 @@ impl Building {
     // ---- supervision knobs -----------------------------------------------
 
     /// Caps the activity fraction room `room` may run (load shedding);
-    /// 1 releases the cap. The cap clamps the load passed to
-    /// [`step`](Self::step).
+    /// 1 releases the cap. The cap clamps every rack's activity on each
+    /// [`step`](Self::step) and [`step_placed`](Self::step_placed).
     pub fn set_power_cap(&mut self, room: usize, cap: f64) -> Result<(), BuildingError> {
         self.check_room(room)?;
         if !(cap.is_finite() && (0.0..=1.0).contains(&cap)) {
@@ -334,13 +334,10 @@ impl Building {
 
     // ---- stepping --------------------------------------------------------
 
-    /// Advances the building by `dt` with one activity level per room.
-    ///
-    /// Serial plant phase: the loop sees the building's IT power as
-    /// demand and the rooms' CRAH extraction as rejected heat, then each
-    /// room (in index order) receives its derated CRAH capacity and the
-    /// floor-clamped supply. Parallel room phase: rooms shard across
-    /// workers; each steps with its power-cap-clamped load.
+    /// Advances the building by `dt` with one activity level per room:
+    /// each level becomes its room's uniform resident placement, then
+    /// the building steps as [`step_placed`](Self::step_placed) does, so
+    /// every rack runs `min(load, power cap)`.
     ///
     /// # Errors
     ///
@@ -353,62 +350,24 @@ impl Building {
             }
             .into());
         }
-        if dt.is_zero() {
-            return Ok(());
+        for (room, &load) in self.rooms.iter_mut().zip(loads) {
+            room.set_uniform_placement(load);
         }
-
-        // ---- plant phase (serial, room index order).
-        let mut demand = Watts::ZERO;
-        let mut removed = Watts::ZERO;
-        for room in &self.rooms {
-            demand += room.total_power();
-            removed += Watts::new(room.air().crah_heat_removed().value().max(0.0));
-        }
-        self.plant.update(demand, removed, dt);
-        let fraction = self.plant.delivered_fraction();
-        let floor = self.supply_floor();
-        for (r, room) in self.rooms.iter_mut().enumerate() {
-            let capacity = (self.room_crah_health[r] * fraction).clamp(0.0, 1.0);
-            if capacity != room.crah_capacity() {
-                room.set_crah_capacity(capacity)
-                    .map_err(|source| BuildingError::Room { room: r, source })?;
-            }
-            let effective = self.commanded_supply[r].max(floor);
-            if effective != room.air().supply_temperature() {
-                room.apply(&ControlAction::hold().with_supply(effective))?;
-            }
-        }
-
-        // ---- room phase (parallel): rooms are independent within the
-        // step (they couple only through the plant phase above), so any
-        // partition is bit-identical.
-        self.eff_loads.clear();
-        self.eff_loads
-            .extend(loads.iter().zip(&self.power_caps).map(|(&load, &cap)| {
-                Utilization::saturating_from_fraction(load.as_fraction().min(cap))
-            }));
-        let ranges = self.plan.ranges(self.rooms.len());
-        let eff_loads = &self.eff_loads;
-        run_sharded(&mut self.rooms, &ranges, |chunk, range| {
-            for (room, &load) in chunk.iter_mut().zip(&eff_loads[range]) {
-                room.step(dt, load)?;
-            }
-            Ok::<(), CoreError>(())
-        })?;
-        self.accounted += dt;
-        Ok(())
+        self.step_placed(dt)
     }
 
     /// Advances the building by `dt` with every room driven by its
     /// resident placement (see [`Building::apply_placement`] and
-    /// [`Room::step_placed`]) instead of one uniform activity level.
+    /// [`Room::step_placed`]).
     ///
-    /// The phases are identical to [`step`](Self::step): a serial plant
-    /// phase, then the parallel room phase where each room re-runs its
-    /// resident per-rack placement clamped to the room's power cap.
-    /// Scheduler placements and supervision load shedding therefore
-    /// compose: the cap limits activity without disturbing the stored
-    /// placement.
+    /// Serial plant phase: the loop sees the building's IT power as
+    /// demand and the rooms' CRAH extraction as rejected heat, then each
+    /// room (in index order) receives its derated CRAH capacity and the
+    /// floor-clamped supply. Parallel room phase: rooms shard across
+    /// workers; each re-runs its resident per-rack placement clamped to
+    /// the room's power cap. Scheduler placements and supervision load
+    /// shedding therefore compose: the cap limits activity without
+    /// disturbing the stored placement.
     ///
     /// # Errors
     ///
@@ -440,15 +399,17 @@ impl Building {
             }
         }
 
-        // ---- room phase (parallel), as in `step`.
-        self.eff_loads.clear();
-        self.eff_loads.extend(
+        // ---- room phase (parallel): rooms are independent within the
+        // step (they couple only through the plant phase above), so any
+        // partition is bit-identical.
+        self.caps.clear();
+        self.caps.extend(
             self.power_caps
                 .iter()
                 .map(|&cap| Utilization::saturating_from_fraction(cap)),
         );
         let ranges = self.plan.ranges(self.rooms.len());
-        let caps = &self.eff_loads;
+        let caps = &self.caps;
         run_sharded(&mut self.rooms, &ranges, |chunk, range| {
             for (room, &cap) in chunk.iter_mut().zip(&caps[range]) {
                 room.step_placed_limited(dt, cap)?;
@@ -497,7 +458,8 @@ impl Building {
         self.it_energy() + self.plant_energy()
     }
 
-    /// Simulated time accounted by [`step`](Self::step).
+    /// Simulated time accounted by [`step`](Self::step) and
+    /// [`step_placed`](Self::step_placed).
     #[must_use]
     pub fn accounted_time(&self) -> SimDuration {
         self.accounted

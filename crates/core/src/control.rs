@@ -29,8 +29,10 @@
 //! total — the room-scale analogue of the paper's per-server fan
 //! trade-off.
 //!
-//! The loop itself is [`Room::run_controlled`]; see the README's
-//! "Control" section for the end-to-end picture.
+//! The loop that consults controllers is the crate's one driver
+//! ([`crate::drive`]), reached through [`Room::run_controlled`], the
+//! scenario runners and the scheduled loop; see the README's "Control"
+//! section for the end-to-end picture.
 //!
 //! [`RoomAirModel::preview_supply`]: leakctl_thermal::RoomAirModel::preview_supply
 //! [`Room::apply`]: crate::room::Room::apply
@@ -302,7 +304,7 @@ impl ControlAction {
 /// The what-if oracle a controller may query while deciding: steady
 /// cold-aisle temperatures under a candidate supply set-point.
 ///
-/// [`Room::run_controlled`](crate::room::Room::run_controlled) passes
+/// [`Room::decide`](crate::room::Room::decide) passes
 /// the live room's air network (cached-factorization steady solves via
 /// [`RoomAirModel::preview_supply`]); [`AnalyticPreview`] is a
 /// stand-alone linear-response implementation for unit tests and

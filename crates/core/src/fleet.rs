@@ -3,11 +3,10 @@
 //!
 //! [`Fleet`] supersedes the original scalar `Rack` (which stepped each
 //! server's thermal network through its own per-server solve) while
-//! preserving its public API — `Rack` remains as a type alias. The
-//! physics is unchanged and bit-identical: per-server fan dynamics,
-//! failsafe, power models and telemetry run exactly as in
-//! `Server::step`; only the thermal integration is hoisted out and
-//! solved for all servers at once.
+//! preserving its public API. The physics is unchanged and
+//! bit-identical: per-server fan dynamics, failsafe, power models and
+//! telemetry run exactly as in `Server::step`; only the thermal
+//! integration is hoisted out and solved for all servers at once.
 //!
 //! The stepping engine works in three layers:
 //!

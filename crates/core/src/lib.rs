@@ -48,6 +48,7 @@ pub mod building;
 mod characterize;
 pub mod control;
 pub mod derating;
+pub mod drive;
 mod error;
 mod experiment;
 mod figures;
@@ -55,7 +56,6 @@ mod fitting;
 pub mod fleet;
 mod lut_pipeline;
 pub mod paper;
-pub mod rack;
 pub mod report;
 pub mod room;
 pub mod scenario;

@@ -32,6 +32,7 @@ use leakctl_thermal::{RoomAirModel, RoomAirSpec, ShardPlan};
 use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, Utilization, Watts};
 
 use crate::control::{ControlAction, RoomController, RoomObservation, SupplyPreview};
+use crate::drive::{Driver, Stages};
 use crate::error::{CoreError, PlacementError, RoomError};
 use crate::fleet::{run_sharded, Fleet, FleetCheckpoint};
 use crate::schedule::PlacementAction;
@@ -751,15 +752,19 @@ impl Room {
     }
 
     /// Runs the closed control loop for `steps` steps of `dt`: every
-    /// [`RoomController::decision_period`] (and at time zero) the
-    /// controller observes a fresh snapshot — with the live air model
-    /// as its what-if oracle — and its action is applied atomically
-    /// before the room advances. `schedule` maps the step index to the
-    /// room-wide activity level.
+    /// [`RoomController::decision_period`] (and at the call's first
+    /// step) the controller observes a fresh snapshot — with the live
+    /// air model as its what-if oracle — and its action is applied
+    /// atomically before the room advances. `schedule` maps the step
+    /// index within the call to the room-wide activity level.
     ///
-    /// The trajectory is bit-identical for any thread plan: decisions
-    /// happen in the serial section between steps, and previews never
-    /// touch the live state.
+    /// Each call runs the crate's driver ([`crate::drive`]) from a
+    /// fresh cadence, so `n` one-step calls make `n` decisions; use a
+    /// [`ScenarioRunner`](crate::scenario::ScenarioRunner) for a
+    /// cadence that carries across chunks. The trajectory is
+    /// bit-identical for any thread plan: decisions happen in the
+    /// serial section between steps, and previews never touch the live
+    /// state.
     ///
     /// # Errors
     ///
@@ -772,38 +777,19 @@ impl Room {
         steps: u64,
         mut schedule: impl FnMut(u64) -> Utilization,
     ) -> Result<ControlStats, CoreError> {
-        if dt.is_zero() {
-            return Err(CoreError::Invalid {
-                what: "controlled runs need a positive step".to_owned(),
-            });
-        }
-        let period = controller.decision_period();
-        let mut stats = ControlStats::default();
-        let mut obs = RoomObservation::new();
-        let mut since = period; // decide immediately at t = 0
-        for step in 0..steps {
-            if since >= period {
-                since = SimDuration::ZERO;
-                let action = self.decide(controller, &mut obs);
-                stats.decisions += 1;
-                if !action.is_hold() {
-                    stats.applied += 1;
-                    self.apply(&action)?;
-                }
-            }
-            self.step(dt, schedule(step))?;
-            since += dt;
-            stats.peak_die = stats.peak_die.max(self.max_die_temperature());
-        }
-        Ok(stats)
+        let mut driver = Driver::new(1, Utilization::IDLE);
+        let mut controllers = [controller];
+        let mut stages = Stages::new(dt, &mut controllers);
+        stages.load = Some(&mut schedule);
+        driver.run(self, stages, steps)?;
+        Ok(driver.stats())
     }
 
     /// Observes the room into `obs` and consults `controller` with the
     /// live air model as its what-if oracle, returning the (unapplied)
-    /// action — the building block [`Room::run_controlled`] is made of,
-    /// exposed so scenario runners can keep a decision cadence of their
-    /// own (e.g. across checkpoint/restore boundaries) while deciding
-    /// exactly like the built-in loop.
+    /// action — the decision stage of the crate's driver
+    /// ([`crate::drive`]), exposed for callers that keep their own
+    /// loop.
     pub fn decide(
         &mut self,
         controller: &mut dyn RoomController,
@@ -904,8 +890,13 @@ impl Room {
     ///
     /// Propagates platform and solver failures.
     pub fn step(&mut self, dt: SimDuration, activity: Utilization) -> Result<(), CoreError> {
-        self.placement.fill(activity);
+        self.set_uniform_placement(activity);
         self.step_placed(dt)
+    }
+
+    /// Replaces the resident placement with one level on every rack.
+    pub(crate) fn set_uniform_placement(&mut self, activity: Utilization) {
+        self.placement.fill(activity);
     }
 
     /// Advances the room by `dt` on the resident placement — the
@@ -962,27 +953,6 @@ impl Room {
         let result = self.advance(dt, &activities);
         self.activities = activities;
         result
-    }
-
-    /// Advances the room by `dt` with per-rack activity levels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Placement`] when `activities` does not have
-    /// one entry per rack, and propagates platform/solver failures.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a validated `PlacementAction` and drive \
-                `Room::apply_placement` + `Room::step_placed` instead"
-    )]
-    pub fn step_racks(
-        &mut self,
-        dt: SimDuration,
-        activities: &[Utilization],
-    ) -> Result<(), CoreError> {
-        let action = PlacementAction::from_utilizations(activities);
-        self.apply_placement(&action)?;
-        self.step_placed(dt)
     }
 
     /// One operator-split step: serial air phase, then the rack phase
@@ -1171,10 +1141,10 @@ impl RoomCheckpoint {
     }
 }
 
-/// Counters from a [`Room::run_controlled`] run: how often the
-/// controller was consulted, how often it commanded a change (a
-/// well-settled loop holds most of the time), and — for scenario runs
-/// — how the loop rode out injected faults.
+/// Counters from a driven run ([`Room::run_controlled`] or a scenario
+/// runner): how often the controllers were consulted, how often they
+/// commanded a change (a well-settled loop holds most of the time),
+/// and — for scenario runs — how the loop rode out injected faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlStats {
     /// Controller consultations (one per decision period plus `t = 0`).
@@ -1209,7 +1179,7 @@ impl Default for ControlStats {
 }
 
 /// [`SupplyPreview`] over the live room air model — the what-if oracle
-/// [`Room::run_controlled`] hands its controller. Previews solve into a
+/// [`Room::decide`] hands its controller. Previews solve into a
 /// scratch state and restore the boundary afterwards, so the live
 /// trajectory is untouched bit-for-bit.
 struct RoomSupplyPreview<'a> {
@@ -1339,22 +1309,22 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn per_rack_activities_shape_the_room() {
         let mut room = Room::with_plan(small(), ShardPlan::new(2)).unwrap();
         assert!(matches!(
-            room.step_racks(SimDuration::from_secs(1), &[Utilization::FULL]),
+            room.apply_placement(&PlacementAction::from_utilizations(&[Utilization::FULL])),
             Err(CoreError::Placement(PlacementError::RackCountMismatch {
                 got: 1,
                 racks: 2
             }))
         ));
+        room.apply_placement(&PlacementAction::from_utilizations(&[
+            Utilization::FULL,
+            Utilization::IDLE,
+        ]))
+        .unwrap();
         for _ in 0..1_800 {
-            room.step_racks(
-                SimDuration::from_secs(1),
-                &[Utilization::FULL, Utilization::IDLE],
-            )
-            .unwrap();
+            room.step_placed(SimDuration::from_secs(1)).unwrap();
         }
         assert!(room.hot_aisle_temperature(0) > room.hot_aisle_temperature(1));
         assert_eq!(room.hottest_rack(), 0);
@@ -1537,6 +1507,30 @@ mod tests {
             room.run_controlled(&mut ctl, SimDuration::ZERO, 1, |_| Utilization::FULL),
             Err(CoreError::Invalid { .. })
         ));
+    }
+
+    #[test]
+    fn controlled_runs_start_a_fresh_cadence_per_call() {
+        use crate::control::FixedSupplyController;
+
+        // A 60 s period at 1 s steps decides once in 10 steps of one
+        // call, but every one-step call starts a fresh cadence and
+        // decides at its first step.
+        let dt = SimDuration::from_secs(1);
+        let mut room = Room::new(small()).unwrap();
+        let mut ctl = FixedSupplyController::new(Celsius::new(22.0));
+        let stats = room
+            .run_controlled(&mut ctl, dt, 10, |_| Utilization::FULL)
+            .unwrap();
+        assert_eq!(stats.decisions, 1);
+        let mut decisions = 0;
+        for _ in 0..10 {
+            decisions += room
+                .run_controlled(&mut ctl, dt, 1, |_| Utilization::FULL)
+                .unwrap()
+                .decisions;
+        }
+        assert_eq!(decisions, 10);
     }
 
     #[test]

@@ -2,22 +2,27 @@
 //! timelines driven through the closed control loop, with
 //! checkpoint/restore across the whole run.
 //!
-//! A [`Scenario`] is a deterministic script — timed [`ScenarioEvent`]s
-//! (CRAH derating/outage, tile blockage, fan faults, load moves) over a
-//! fixed duration and step size, plus the thermal cap the run is judged
-//! against. A [`ScenarioRunner`] drives a [`Room`] and a
-//! [`RoomController`] through the script with exactly
-//! [`Room::run_controlled`]'s decision cadence, while sampling the
-//! hottest die every step to account cap violations and recovery (the
-//! fields [`ControlStats`] grew for this module).
+//! A [`Script`] is a deterministic timeline — timed events over a fixed
+//! duration and step size, plus the thermal cap the run is judged
+//! against. [`Scenario`] scripts a lone [`Room`] with
+//! [`ScenarioEvent`]s (CRAH derating/outage, tile blockage, fan faults,
+//! load moves); [`BuildingScenario`] scripts a [`Building`] with
+//! [`BuildingEvent`]s (chiller, chilled-water and outdoor faults, room
+//! loads and room-scoped events). A [`ScriptRunner`] —
+//! [`ScenarioRunner`] or [`BuildingScenarioRunner`] — drives the plant,
+//! its controllers and (for a building) the [`Supervisor`] through the
+//! script on the crate's one staged driver (see [`crate::drive`] for
+//! the stage order and decision cadence), sampling the hottest die
+//! every step to account cap violations and recovery (the fields
+//! [`ControlStats`] grew for this module).
 //!
-//! The runner is resumable: [`ScenarioRunner::checkpoint`] captures the
-//! room ([`Room::checkpoint`]), the controller
-//! ([`RoomController::checkpoint_state`]) and the runner's own cursor
-//! (event index, decision phase, accumulated stats), and
-//! [`ScenarioRunner::restore`] resumes the trajectory **bit-identically**
-//! to an uninterrupted run, for any thread plan — the property the
-//! `checkpoint_restore` integration proptest pins.
+//! Runners are resumable: `checkpoint` captures the plant, every
+//! controller ([`RoomController::checkpoint_state`]), the supervisor and
+//! the driver's cursor (event index, decision phases, accumulated
+//! stats) in one [`Checkpoint`], and `restore` resumes the trajectory
+//! **bit-identically** to an uninterrupted run, for any thread plan —
+//! the property the `checkpoint_restore` and `building_scale`
+//! integration proptests pin.
 //!
 //! # Example
 //!
@@ -43,7 +48,8 @@ use leakctl_platform::FanFault;
 use leakctl_units::{Celsius, Joules, SimDuration, Utilization};
 
 use crate::building::{Building, BuildingCheckpoint};
-use crate::control::{RoomController, RoomObservation};
+use crate::control::RoomController;
+use crate::drive::{Checkpoint, Driver, Stages};
 use crate::error::{BuildingError, CoreError, RoomError};
 use crate::room::{ControlStats, Room, RoomCheckpoint};
 use crate::supervise::{Supervisor, TripCounts};
@@ -74,399 +80,6 @@ pub enum ScenarioEvent {
     /// Moves the room-wide activity level (load spikes and dips).
     Load(Utilization),
 }
-
-impl ScenarioEvent {
-    /// `true` for events that change the plant's fault state (load
-    /// moves are workload, not faults) — the events recovery time is
-    /// measured from.
-    #[must_use]
-    fn is_fault_transition(&self) -> bool {
-        !matches!(self, Self::Load(_))
-    }
-}
-
-/// A deterministic fault/recovery/load script: timed events over a
-/// fixed duration and step size, judged against a thermal cap.
-///
-/// Events fire at the *start* of the step whose time they name (so an
-/// event at a decision instant is visible to that very decision), in
-/// time order; ties fire in insertion order.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    name: String,
-    events: Vec<(SimDuration, ScenarioEvent)>,
-    duration: SimDuration,
-    dt: SimDuration,
-    die_cap: Celsius,
-    initial_load: Utilization,
-}
-
-impl Scenario {
-    /// A script of `duration` in steps of `dt` with no events yet, an
-    /// 85 °C cap and full initial load.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero `dt`.
-    #[must_use]
-    pub fn new(name: impl Into<String>, duration: SimDuration, dt: SimDuration) -> Self {
-        assert!(!dt.is_zero(), "scenarios need a positive step");
-        Self {
-            name: name.into(),
-            events: Vec::new(),
-            duration,
-            dt,
-            die_cap: Celsius::new(85.0),
-            initial_load: Utilization::FULL,
-        }
-    }
-
-    /// Schedules `event` at simulated time `at` (from the start of the
-    /// run).
-    #[must_use]
-    pub fn at(mut self, at: SimDuration, event: ScenarioEvent) -> Self {
-        self.events.push((at, event));
-        // Stable sort: same-time events keep their insertion order.
-        self.events.sort_by_key(|&(t, _)| t);
-        self
-    }
-
-    /// Overrides the thermal cap the run is judged against (default
-    /// 85 °C, the paper's red-line die temperature).
-    #[must_use]
-    pub fn with_die_cap(mut self, cap: Celsius) -> Self {
-        self.die_cap = cap;
-        self
-    }
-
-    /// Overrides the activity level the run starts at (default full).
-    #[must_use]
-    pub fn with_initial_load(mut self, load: Utilization) -> Self {
-        self.initial_load = load;
-        self
-    }
-
-    /// The script's name (used in sweep reports).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total steps the script runs for.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.duration.as_millis() / self.dt.as_millis()
-    }
-
-    /// The step size.
-    #[must_use]
-    pub fn dt(&self) -> SimDuration {
-        self.dt
-    }
-
-    /// The thermal cap the run is judged against.
-    #[must_use]
-    pub fn die_cap(&self) -> Celsius {
-        self.die_cap
-    }
-
-    /// The activity level the run starts at (until a
-    /// [`ScenarioEvent::Load`] moves it).
-    #[must_use]
-    pub fn initial_load(&self) -> Utilization {
-        self.initial_load
-    }
-
-    /// Number of scheduled events.
-    #[must_use]
-    pub fn events(&self) -> usize {
-        self.events.len()
-    }
-}
-
-/// What a scenario run produced: the extended loop counters and the
-/// room's energy/thermal bottom line.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct ScenarioOutcome {
-    /// The script's name.
-    pub name: String,
-    /// Loop counters, cap-violation time, recovery time (see
-    /// [`ControlStats`]).
-    pub stats: ControlStats,
-    /// Total room energy (IT + cooling) over the run.
-    pub total_energy: Joules,
-    /// IT (server + fan) energy over the run.
-    pub it_energy: Joules,
-    /// CRAH cooling energy over the run.
-    pub cooling_energy: Joules,
-    /// The hottest die at the end of the run.
-    pub final_max_die: Celsius,
-    /// Events that fired (equals the script's count after a full run).
-    pub events_applied: usize,
-}
-
-impl ScenarioOutcome {
-    /// `true` when the hottest die never exceeded the cap.
-    #[must_use]
-    pub fn stayed_under_cap(&self) -> bool {
-        self.stats.cap_violation_time.is_zero()
-    }
-
-    /// Fills [`ControlStats::energy_overhead`] relative to a reference
-    /// run of the same script (typically fault-free or under a
-    /// different controller).
-    pub fn set_energy_overhead_vs(&mut self, reference: &ScenarioOutcome) {
-        self.stats.energy_overhead = Some(self.total_energy - reference.total_energy);
-    }
-}
-
-/// Everything needed to resume a scenario mid-flight: the room
-/// snapshot, the controller's opaque state and the runner's cursor.
-#[derive(Debug, Clone)]
-pub struct ScenarioCheckpoint {
-    room: RoomCheckpoint,
-    controller: Vec<f64>,
-    cursor: Cursor,
-}
-
-impl ScenarioCheckpoint {
-    /// The step the run was captured at.
-    #[must_use]
-    pub fn step(&self) -> u64 {
-        self.cursor.step
-    }
-}
-
-/// The runner's progress state (everything outside the room and the
-/// controller), captured verbatim in a [`ScenarioCheckpoint`].
-#[derive(Debug, Clone)]
-struct Cursor {
-    step: u64,
-    next_event: usize,
-    since: SimDuration,
-    load: Utilization,
-    stats: ControlStats,
-    events_applied: usize,
-    last_fault_time: Option<SimDuration>,
-    violated_since_fault: bool,
-    recovered_at: Option<SimDuration>,
-}
-
-/// Drives a [`Room`] and a [`RoomController`] through a [`Scenario`],
-/// step by step, with checkpoint/restore at any step boundary.
-///
-/// Per step: due events are applied first, then (every decision
-/// period, and at `t = 0`) the controller decides against the
-/// post-event room — so a CRAH outage is visible to the very decision
-/// made at the instant it strikes — then the room advances and the
-/// hottest die is sampled against the cap.
-#[derive(Debug)]
-pub struct ScenarioRunner {
-    scenario: Scenario,
-    cursor: Cursor,
-    obs: RoomObservation,
-}
-
-impl ScenarioRunner {
-    /// A runner positioned at the start of `scenario`.
-    #[must_use]
-    pub fn new(scenario: Scenario) -> Self {
-        let load = scenario.initial_load;
-        Self {
-            scenario,
-            cursor: Cursor {
-                step: 0,
-                next_event: 0,
-                since: SimDuration::ZERO,
-                load,
-                stats: ControlStats::default(),
-                events_applied: 0,
-                last_fault_time: None,
-                violated_since_fault: false,
-                recovered_at: None,
-            },
-            obs: RoomObservation::new(),
-        }
-    }
-
-    /// The script being driven.
-    #[must_use]
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// `true` once every scripted step has run.
-    #[must_use]
-    pub fn finished(&self) -> bool {
-        self.cursor.step >= self.scenario.steps()
-    }
-
-    /// The current step index (steps completed so far).
-    #[must_use]
-    pub fn step(&self) -> u64 {
-        self.cursor.step
-    }
-
-    /// Runs the remainder of the script and reports the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Propagates room/controller failures ([`CoreError`]); scripted
-    /// events with bad parameters surface as [`CoreError::Room`].
-    pub fn run(
-        &mut self,
-        room: &mut Room,
-        controller: &mut dyn RoomController,
-    ) -> Result<ScenarioOutcome, CoreError> {
-        let remaining = self.scenario.steps() - self.cursor.step;
-        self.run_steps(room, controller, remaining)?;
-        Ok(self.outcome(room))
-    }
-
-    /// Advances up to `steps` further steps (stopping at the script's
-    /// end), e.g. to reach a checkpoint boundary mid-scenario.
-    ///
-    /// # Errors
-    ///
-    /// As [`ScenarioRunner::run`].
-    pub fn run_steps(
-        &mut self,
-        room: &mut Room,
-        controller: &mut dyn RoomController,
-        steps: u64,
-    ) -> Result<(), CoreError> {
-        let dt = self.scenario.dt;
-        let period = controller.decision_period();
-        let end = (self.cursor.step + steps).min(self.scenario.steps());
-        while self.cursor.step < end {
-            let now = dt * self.cursor.step;
-            // ---- due events fire at the start of their step.
-            while let Some((at, event)) = self.scenario.events.get(self.cursor.next_event) {
-                if *at > now {
-                    break;
-                }
-                self.apply_event(room, event.clone(), now)?;
-                self.cursor.next_event += 1;
-                self.cursor.events_applied += 1;
-            }
-            // ---- decision cadence: exactly `Room::run_controlled`'s
-            // (decide at t = 0, then every period).
-            if self.cursor.step == 0 || self.cursor.since >= period {
-                self.cursor.since = SimDuration::ZERO;
-                let action = room.decide(controller, &mut self.obs);
-                self.cursor.stats.decisions += 1;
-                if !action.is_hold() {
-                    self.cursor.stats.applied += 1;
-                    room.apply(&action)?;
-                }
-            }
-            // ---- advance and judge against the cap.
-            room.step(dt, self.cursor.load)?;
-            self.cursor.step += 1;
-            self.cursor.since += dt;
-            let die = room.max_die_temperature();
-            self.cursor.stats.peak_die = self.cursor.stats.peak_die.max(die);
-            if die > self.scenario.die_cap {
-                self.cursor.stats.cap_violation_time += dt;
-                self.cursor.violated_since_fault = true;
-                self.cursor.recovered_at = None;
-            } else if self.cursor.violated_since_fault && self.cursor.recovered_at.is_none() {
-                self.cursor.recovered_at = Some(dt * self.cursor.step);
-            }
-        }
-        Ok(())
-    }
-
-    fn apply_event(
-        &mut self,
-        room: &mut Room,
-        event: ScenarioEvent,
-        now: SimDuration,
-    ) -> Result<(), CoreError> {
-        if event.is_fault_transition() {
-            self.cursor.last_fault_time = Some(now);
-            self.cursor.violated_since_fault = false;
-            self.cursor.recovered_at = None;
-        }
-        match event {
-            ScenarioEvent::CrahCapacity(capacity) => room.set_crah_capacity(capacity)?,
-            ScenarioEvent::TileBlockage { rack, blockage } => {
-                room.set_tile_blockage(rack, blockage)?;
-            }
-            ScenarioEvent::FanFault {
-                rack,
-                server,
-                fault,
-            } => room.inject_fan_fault(rack, server, fault)?,
-            ScenarioEvent::Load(load) => self.cursor.load = load,
-        }
-        Ok(())
-    }
-
-    /// The outcome so far (complete once [`ScenarioRunner::finished`]).
-    /// Recovery time is measured from the last fault-state event (load
-    /// moves excluded) to the end of the first cap excursion after it.
-    #[must_use]
-    pub fn outcome(&self, room: &Room) -> ScenarioOutcome {
-        let mut stats = self.cursor.stats;
-        stats.recovery_time = match (self.cursor.last_fault_time, self.cursor.recovered_at) {
-            (Some(fault), Some(recovered)) if recovered > fault => Some(recovered - fault),
-            _ => None,
-        };
-        ScenarioOutcome {
-            name: self.scenario.name.clone(),
-            stats,
-            total_energy: room.total_energy(),
-            it_energy: room.it_energy(),
-            cooling_energy: room.cooling_energy(),
-            final_max_die: room.max_die_temperature(),
-            events_applied: self.cursor.events_applied,
-        }
-    }
-
-    /// Captures the full run state — room, controller, cursor — at the
-    /// current step boundary.
-    #[must_use]
-    pub fn checkpoint(
-        &self,
-        room: &mut Room,
-        controller: &dyn RoomController,
-    ) -> ScenarioCheckpoint {
-        ScenarioCheckpoint {
-            room: room.checkpoint(),
-            controller: controller.checkpoint_state(),
-            cursor: self.cursor.clone(),
-        }
-    }
-
-    /// Restores a [`ScenarioRunner::checkpoint`] into `room`,
-    /// `controller` and this runner; the resumed run is bit-identical
-    /// to one that was never interrupted (any thread plan).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RoomError::CheckpointMismatch`] when the room does not
-    /// match the snapshot (the runner and controller are only touched
-    /// after the room restore succeeds).
-    pub fn restore(
-        &mut self,
-        room: &mut Room,
-        controller: &mut dyn RoomController,
-        checkpoint: &ScenarioCheckpoint,
-    ) -> Result<(), RoomError> {
-        room.restore(&checkpoint.room)?;
-        controller.reset();
-        controller.restore_state(&checkpoint.controller);
-        self.cursor = checkpoint.cursor.clone();
-        self.obs = RoomObservation::new();
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Building-scale scenarios
-// ---------------------------------------------------------------------------
 
 /// One timed move in a [`BuildingScenario`] script — the building-scale
 /// fault injectors, plus room-scoped [`ScenarioEvent`]s.
@@ -504,34 +117,29 @@ pub enum BuildingEvent {
     },
 }
 
-impl BuildingEvent {
-    /// `true` for events that change fault state (load moves are
-    /// workload, not faults) — the events recovery time is measured
-    /// from.
-    fn is_fault_transition(&self) -> bool {
-        match self {
-            Self::RoomLoad { .. } | Self::LoadSurge(_) => false,
-            Self::Room { event, .. } => event.is_fault_transition(),
-            _ => true,
-        }
-    }
-}
-
-/// A deterministic building-scale fault/recovery/load script — the
-/// [`Scenario`] shape one level up, sharing its timing contract: events
-/// fire at the *start* of the step whose time they name, in time order;
-/// ties fire in insertion order.
+/// A deterministic fault/recovery/load script: timed events of type `E`
+/// over a fixed duration and step size, judged against a thermal cap.
+///
+/// Events fire at the *start* of the step whose time they name (so an
+/// event at a decision instant is visible to that very decision), in
+/// time order; ties fire in insertion order.
 #[derive(Debug, Clone)]
-pub struct BuildingScenario {
+pub struct Script<E> {
     name: String,
-    events: Vec<(SimDuration, BuildingEvent)>,
+    events: Vec<(SimDuration, E)>,
     duration: SimDuration,
     dt: SimDuration,
     die_cap: Celsius,
     initial_load: Utilization,
 }
 
-impl BuildingScenario {
+/// A room-scale script.
+pub type Scenario = Script<ScenarioEvent>;
+
+/// A building-scale script.
+pub type BuildingScenario = Script<BuildingEvent>;
+
+impl<E> Script<E> {
     /// A script of `duration` in steps of `dt` with no events yet, an
     /// 85 °C cap and full initial load in every room.
     ///
@@ -551,30 +159,33 @@ impl BuildingScenario {
         }
     }
 
-    /// Schedules `event` at simulated time `at`.
+    /// Schedules `event` at simulated time `at` (from the start of the
+    /// run).
     #[must_use]
-    pub fn at(mut self, at: SimDuration, event: BuildingEvent) -> Self {
+    pub fn at(mut self, at: SimDuration, event: E) -> Self {
         self.events.push((at, event));
         // Stable sort: same-time events keep their insertion order.
         self.events.sort_by_key(|&(t, _)| t);
         self
     }
 
-    /// Overrides the thermal cap the run is judged against.
+    /// Overrides the thermal cap the run is judged against (default
+    /// 85 °C, the paper's red-line die temperature).
     #[must_use]
     pub fn with_die_cap(mut self, cap: Celsius) -> Self {
         self.die_cap = cap;
         self
     }
 
-    /// Overrides the activity level every room starts at.
+    /// Overrides the activity level every room starts at (default
+    /// full).
     #[must_use]
     pub fn with_initial_load(mut self, load: Utilization) -> Self {
         self.initial_load = load;
         self
     }
 
-    /// The script's name.
+    /// The script's name (used in sweep reports).
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
@@ -598,7 +209,7 @@ impl BuildingScenario {
         self.die_cap
     }
 
-    /// The activity level rooms start at.
+    /// The activity level rooms start at (until a load event moves it).
     #[must_use]
     pub fn initial_load(&self) -> Utilization {
         self.initial_load
@@ -608,6 +219,49 @@ impl BuildingScenario {
     #[must_use]
     pub fn events(&self) -> usize {
         self.events.len()
+    }
+
+    /// The events from index `next` on that are due by `now`.
+    pub(crate) fn due(&self, next: usize, now: SimDuration) -> &[(SimDuration, E)] {
+        let rest = &self.events[next..];
+        &rest[..rest.partition_point(|&(at, _)| at <= now)]
+    }
+}
+
+/// What a scenario run produced: the extended loop counters and the
+/// room's energy/thermal bottom line.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub struct ScenarioOutcome {
+    /// The script's name.
+    pub name: String,
+    /// Loop counters, cap-violation time, recovery time (see
+    /// [`ControlStats`]).
+    pub stats: ControlStats,
+    /// Total room energy (IT + cooling) over the run.
+    pub total_energy: Joules,
+    /// IT (server + fan) energy over the run.
+    pub it_energy: Joules,
+    /// CRAH cooling energy over the run.
+    pub cooling_energy: Joules,
+    /// The hottest die at the end of the run.
+    pub final_max_die: Celsius,
+    /// Events that fired (equals the script's count after a full run).
+    pub events_applied: usize,
+}
+
+impl ScenarioOutcome {
+    /// `true` when the hottest die never exceeded the cap.
+    #[must_use]
+    pub fn stayed_under_cap(&self) -> bool {
+        self.stats.cap_violation_time.is_zero()
+    }
+
+    /// Fills [`ControlStats::energy_overhead`] relative to a reference
+    /// run of the same script (typically fault-free or under a
+    /// different controller).
+    pub fn set_energy_overhead_vs(&mut self, reference: &ScenarioOutcome) {
+        self.stats.energy_overhead = Some(self.total_energy - reference.total_energy);
     }
 }
 
@@ -655,116 +309,147 @@ impl BuildingOutcome {
     }
 }
 
-/// Everything needed to resume a building scenario mid-flight: the
-/// building snapshot, every controller's opaque state, the supervisor's
-/// state, and the runner's cursor.
-#[derive(Debug, Clone)]
-pub struct BuildingScenarioCheckpoint {
-    building: BuildingCheckpoint,
-    controllers: Vec<Vec<f64>>,
-    supervisor: Vec<f64>,
-    cursor: BuildingCursor,
+/// Everything needed to resume a room scenario mid-flight.
+pub type ScenarioCheckpoint = Checkpoint<RoomCheckpoint>;
+
+/// Everything needed to resume a building scenario mid-flight.
+pub type BuildingScenarioCheckpoint = Checkpoint<BuildingCheckpoint>;
+
+/// Drives a plant through a [`Script`], step by step, with
+/// checkpoint/restore at any step boundary: the crate's driver with the
+/// script, controller and (for a building) supervisor stages present —
+/// see [`crate::drive`] for the per-step stage order.
+#[derive(Debug)]
+pub struct ScriptRunner<E> {
+    script: Script<E>,
+    driver: Driver,
 }
 
-impl BuildingScenarioCheckpoint {
-    /// The step the run was captured at.
-    #[must_use]
-    pub fn step(&self) -> u64 {
-        self.cursor.step
-    }
-}
-
-/// The building runner's progress state, captured verbatim in a
-/// [`BuildingScenarioCheckpoint`].
-#[derive(Debug, Clone)]
-struct BuildingCursor {
-    step: u64,
-    next_event: usize,
-    /// Per-room decision phase.
-    since: Vec<SimDuration>,
-    since_supervise: SimDuration,
-    /// Per-room activity level.
-    loads: Vec<Utilization>,
-    stats: ControlStats,
-    events_applied: usize,
-    last_fault_time: Option<SimDuration>,
-    violated_since_fault: bool,
-    recovered_at: Option<SimDuration>,
-}
+/// Drives a [`Room`] and one [`RoomController`] through a [`Scenario`].
+pub type ScenarioRunner = ScriptRunner<ScenarioEvent>;
 
 /// Drives a [`Building`], one [`RoomController`] per room, and a
 /// [`Supervisor`] through a [`BuildingScenario`].
-///
-/// Per step: due events fire first; then each room's controller decides
-/// at its own cadence (from `t = 0`) against the post-event building;
-/// then the supervisor runs at its cadence — *after* the controllers,
-/// so watchdog actions override controller actions; then the building
-/// advances and the hottest die across all rooms is judged against the
-/// cap. All of it happens in room index order within the serial
-/// section, so supervised runs are bit-identical for any thread plan.
-#[derive(Debug)]
-pub struct BuildingScenarioRunner {
-    scenario: BuildingScenario,
-    cursor: BuildingCursor,
-    obs: RoomObservation,
-}
+pub type BuildingScenarioRunner = ScriptRunner<BuildingEvent>;
 
-impl BuildingScenarioRunner {
-    /// A runner positioned at the start of `scenario`, for a building
-    /// of `rooms` rooms.
-    #[must_use]
-    pub fn new(scenario: BuildingScenario, rooms: usize) -> Self {
-        let load = scenario.initial_load;
-        Self {
-            scenario,
-            cursor: BuildingCursor {
-                step: 0,
-                next_event: 0,
-                since: vec![SimDuration::ZERO; rooms],
-                since_supervise: SimDuration::ZERO,
-                loads: vec![load; rooms],
-                stats: ControlStats::default(),
-                events_applied: 0,
-                last_fault_time: None,
-                violated_since_fault: false,
-                recovered_at: None,
-            },
-            obs: RoomObservation::new(),
-        }
+impl<E> ScriptRunner<E> {
+    fn with_rooms(script: Script<E>, rooms: usize) -> Self {
+        let driver = Driver::new(rooms, script.initial_load);
+        Self { script, driver }
     }
 
     /// The script being driven.
     #[must_use]
-    pub fn scenario(&self) -> &BuildingScenario {
-        &self.scenario
+    pub fn scenario(&self) -> &Script<E> {
+        &self.script
     }
 
     /// `true` once every scripted step has run.
     #[must_use]
     pub fn finished(&self) -> bool {
-        self.cursor.step >= self.scenario.steps()
+        self.driver.step() >= self.script.steps()
     }
 
-    /// The current step index.
+    /// The current step index (steps completed so far).
     #[must_use]
     pub fn step(&self) -> u64 {
-        self.cursor.step
+        self.driver.step()
+    }
+}
+
+impl ScriptRunner<ScenarioEvent> {
+    /// A runner positioned at the start of `scenario`.
+    #[must_use]
+    pub fn new(scenario: Scenario) -> Self {
+        Self::with_rooms(scenario, 1)
     }
 
-    fn check_shape(
-        &self,
-        building: &Building,
-        controllers: &[Box<dyn RoomController>],
-    ) -> Result<(), BuildingError> {
-        if building.rooms() != self.cursor.since.len()
-            || controllers.len() != self.cursor.since.len()
-        {
-            return Err(BuildingError::InvalidFault {
-                what:
-                    "one controller per room required (runner/building/controller count mismatch)",
-            });
+    /// Runs the remainder of the script and reports the outcome.
+    ///
+    /// # Errors
+    ///
+    /// Propagates room/controller failures ([`CoreError`]); scripted
+    /// events with bad parameters surface as [`CoreError::Room`].
+    pub fn run(
+        &mut self,
+        room: &mut Room,
+        controller: &mut dyn RoomController,
+    ) -> Result<ScenarioOutcome, CoreError> {
+        self.run_steps(room, controller, u64::MAX)?;
+        Ok(self.outcome(room))
+    }
+
+    /// Advances up to `steps` further steps (stopping at the script's
+    /// end), e.g. to reach a checkpoint boundary mid-scenario.
+    ///
+    /// # Errors
+    ///
+    /// As [`ScenarioRunner::run`].
+    pub fn run_steps(
+        &mut self,
+        room: &mut Room,
+        controller: &mut dyn RoomController,
+        steps: u64,
+    ) -> Result<(), CoreError> {
+        let mut controllers = [controller];
+        let mut stages = Stages::new(self.script.dt, &mut controllers);
+        stages.script = Some(&self.script);
+        self.driver.run(room, stages, steps)
+    }
+
+    /// The outcome so far (complete once [`ScenarioRunner::finished`]).
+    /// Recovery time is measured from the last fault-state event (load
+    /// moves excluded) to the end of the first cap excursion after it.
+    #[must_use]
+    pub fn outcome(&self, room: &Room) -> ScenarioOutcome {
+        ScenarioOutcome {
+            name: self.script.name.clone(),
+            stats: self.driver.stats(),
+            total_energy: room.total_energy(),
+            it_energy: room.it_energy(),
+            cooling_energy: room.cooling_energy(),
+            final_max_die: room.max_die_temperature(),
+            events_applied: self.driver.events_applied(),
         }
-        Ok(())
+    }
+
+    /// Captures the full run state — room, controller, cursor — at the
+    /// current step boundary.
+    #[must_use]
+    pub fn checkpoint(
+        &self,
+        room: &mut Room,
+        controller: &dyn RoomController,
+    ) -> ScenarioCheckpoint {
+        self.driver.checkpoint(room, &[controller], None)
+    }
+
+    /// Restores a [`ScenarioRunner::checkpoint`] into `room`,
+    /// `controller` and this runner; the resumed run is bit-identical
+    /// to one that was never interrupted (any thread plan).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RoomError::CheckpointMismatch`] when the room does not
+    /// match the snapshot (the runner and controller are only touched
+    /// after the room restore succeeds).
+    pub fn restore(
+        &mut self,
+        room: &mut Room,
+        controller: &mut dyn RoomController,
+        checkpoint: &ScenarioCheckpoint,
+    ) -> Result<(), RoomError> {
+        self.driver
+            .restore(room, &mut [controller], None, checkpoint)
+    }
+}
+
+impl ScriptRunner<BuildingEvent> {
+    /// A runner positioned at the start of `scenario`, for a building
+    /// of `rooms` rooms.
+    #[must_use]
+    pub fn new(scenario: BuildingScenario, rooms: usize) -> Self {
+        Self::with_rooms(scenario, rooms)
     }
 
     /// Runs the remainder of the script and reports the outcome.
@@ -779,8 +464,7 @@ impl BuildingScenarioRunner {
         controllers: &mut [Box<dyn RoomController>],
         supervisor: &mut Supervisor,
     ) -> Result<BuildingOutcome, CoreError> {
-        let remaining = self.scenario.steps() - self.cursor.step;
-        self.run_steps(building, controllers, supervisor, remaining)?;
+        self.run_steps(building, controllers, supervisor, u64::MAX)?;
         Ok(self.outcome(building, supervisor))
     }
 
@@ -797,135 +481,26 @@ impl BuildingScenarioRunner {
         supervisor: &mut Supervisor,
         steps: u64,
     ) -> Result<(), CoreError> {
-        self.check_shape(building, controllers)?;
-        let dt = self.scenario.dt;
-        let end = (self.cursor.step + steps).min(self.scenario.steps());
-        while self.cursor.step < end {
-            let now = dt * self.cursor.step;
-            // ---- due events fire at the start of their step.
-            while let Some((at, event)) = self.scenario.events.get(self.cursor.next_event) {
-                if *at > now {
-                    break;
-                }
-                let event = event.clone();
-                self.apply_event(building, event, now)?;
-                self.cursor.next_event += 1;
-                self.cursor.events_applied += 1;
-            }
-            // ---- per-room decision cadence (room index order).
-            for (r, controller) in controllers.iter_mut().enumerate() {
-                if self.cursor.step == 0 || self.cursor.since[r] >= controller.decision_period() {
-                    self.cursor.since[r] = SimDuration::ZERO;
-                    let action = building.decide(r, controller.as_mut(), &mut self.obs)?;
-                    self.cursor.stats.decisions += 1;
-                    if !action.is_hold() {
-                        self.cursor.stats.applied += 1;
-                        building.apply(r, &action)?;
-                    }
-                }
-            }
-            // ---- supervision, after the controllers so watchdog
-            // actions win.
-            if self.cursor.step == 0 || self.cursor.since_supervise >= supervisor.period() {
-                self.cursor.since_supervise = SimDuration::ZERO;
-                supervisor.supervise(building)?;
-            }
-            // ---- advance and judge against the cap.
-            building.step(dt, &self.cursor.loads)?;
-            self.cursor.step += 1;
-            for since in &mut self.cursor.since {
-                *since += dt;
-            }
-            self.cursor.since_supervise += dt;
-            let die = building.max_die_temperature();
-            self.cursor.stats.peak_die = self.cursor.stats.peak_die.max(die);
-            if die > self.scenario.die_cap {
-                self.cursor.stats.cap_violation_time += dt;
-                self.cursor.violated_since_fault = true;
-                self.cursor.recovered_at = None;
-            } else if self.cursor.violated_since_fault && self.cursor.recovered_at.is_none() {
-                self.cursor.recovered_at = Some(dt * self.cursor.step);
-            }
-        }
-        Ok(())
-    }
-
-    fn apply_event(
-        &mut self,
-        building: &mut Building,
-        event: BuildingEvent,
-        now: SimDuration,
-    ) -> Result<(), CoreError> {
-        if event.is_fault_transition() {
-            self.cursor.last_fault_time = Some(now);
-            self.cursor.violated_since_fault = false;
-            self.cursor.recovered_at = None;
-        }
-        match event {
-            BuildingEvent::Chiller(fraction) => building.set_chiller_availability(fraction)?,
-            BuildingEvent::ChwExcursion(excursion) => building.set_chw_excursion(excursion)?,
-            BuildingEvent::Outdoor(outdoor) => building.set_outdoor(outdoor)?,
-            BuildingEvent::RoomLoad { room, load } => {
-                if room >= self.cursor.loads.len() {
-                    return Err(BuildingError::RoomOutOfRange {
-                        room,
-                        rooms: self.cursor.loads.len(),
-                    }
-                    .into());
-                }
-                self.cursor.loads[room] = load;
-            }
-            BuildingEvent::LoadSurge(load) => {
-                self.cursor.loads.fill(load);
-            }
-            BuildingEvent::Room { room, event } => match event {
-                ScenarioEvent::CrahCapacity(health) => {
-                    building.set_room_crah_health(room, health)?;
-                }
-                ScenarioEvent::TileBlockage { rack, blockage } => building
-                    .room_mut(room)?
-                    .set_tile_blockage(rack, blockage)
-                    .map_err(|source| BuildingError::Room { room, source })?,
-                ScenarioEvent::FanFault {
-                    rack,
-                    server,
-                    fault,
-                } => building
-                    .room_mut(room)?
-                    .inject_fan_fault(rack, server, fault)
-                    .map_err(|source| BuildingError::Room { room, source })?,
-                ScenarioEvent::Load(load) => {
-                    if room >= self.cursor.loads.len() {
-                        return Err(BuildingError::RoomOutOfRange {
-                            room,
-                            rooms: self.cursor.loads.len(),
-                        }
-                        .into());
-                    }
-                    self.cursor.loads[room] = load;
-                }
-            },
-        }
-        Ok(())
+        let period = supervisor.period();
+        let mut supervise = |building: &mut Building| supervisor.supervise(building);
+        let mut stages = Stages::new(self.script.dt, controllers);
+        stages.script = Some(&self.script);
+        stages.supervisor = Some((period, &mut supervise));
+        self.driver.run(building, stages, steps)
     }
 
     /// The outcome so far (complete once
     /// [`BuildingScenarioRunner::finished`]).
     #[must_use]
     pub fn outcome(&self, building: &Building, supervisor: &Supervisor) -> BuildingOutcome {
-        let mut stats = self.cursor.stats;
-        stats.recovery_time = match (self.cursor.last_fault_time, self.cursor.recovered_at) {
-            (Some(fault), Some(recovered)) if recovered > fault => Some(recovered - fault),
-            _ => None,
-        };
         BuildingOutcome {
-            name: self.scenario.name.clone(),
-            stats,
+            name: self.script.name.clone(),
+            stats: self.driver.stats(),
             total_energy: building.total_energy(),
             it_energy: building.it_energy(),
             plant_energy: building.plant_energy(),
             final_max_die: building.max_die_temperature(),
-            events_applied: self.cursor.events_applied,
+            events_applied: self.driver.events_applied(),
             trips: supervisor.counts(),
             sheds: supervisor.sheds(),
             escalations: supervisor.escalations(),
@@ -942,12 +517,8 @@ impl BuildingScenarioRunner {
         controllers: &[Box<dyn RoomController>],
         supervisor: &Supervisor,
     ) -> BuildingScenarioCheckpoint {
-        BuildingScenarioCheckpoint {
-            building: building.checkpoint(),
-            controllers: controllers.iter().map(|c| c.checkpoint_state()).collect(),
-            supervisor: supervisor.checkpoint_state(),
-            cursor: self.cursor.clone(),
-        }
+        self.driver
+            .checkpoint(building, controllers, Some(supervisor))
     }
 
     /// Restores a [`BuildingScenarioRunner::checkpoint`]; the resumed
@@ -975,16 +546,8 @@ impl BuildingScenarioRunner {
                 ),
             });
         }
-        building.restore(&checkpoint.building)?;
-        for (controller, state) in controllers.iter_mut().zip(&checkpoint.controllers) {
-            controller.reset();
-            controller.restore_state(state);
-        }
-        supervisor.reset();
-        supervisor.restore_state(&checkpoint.supervisor);
-        self.cursor = checkpoint.cursor.clone();
-        self.obs = RoomObservation::new();
-        Ok(())
+        self.driver
+            .restore(building, controllers, Some(supervisor), checkpoint)
     }
 }
 

@@ -26,10 +26,10 @@
 //!   cost stops falling.
 //!
 //! [`ScheduledLoop`] co-runs a [`RoomScheduler`] and a
-//! [`RoomController`] against one [`Room`] in a single deterministic
-//! loop: both decide in the serial section between steps, so the
-//! trajectory is bit-identical for any `LEAKCTL_THREADS` plan, like
-//! every other layer.
+//! [`RoomController`] against one [`Room`] on the crate's one driver
+//! ([`crate::drive`]): both decide in the serial section between steps,
+//! so the trajectory is bit-identical for any `LEAKCTL_THREADS` plan,
+//! like every other layer.
 //!
 //! # Example
 //!
@@ -64,6 +64,7 @@ use leakctl_sim::SimRng;
 use leakctl_units::{Celsius, SimDuration, Utilization, Watts};
 
 use crate::control::{RoomController, RoomObservation};
+use crate::drive::{Driver, Stages};
 use crate::error::CoreError;
 use crate::room::Room;
 
@@ -885,35 +886,130 @@ struct ActiveJob {
 }
 
 /// Co-runs a [`RoomScheduler`] and a [`RoomController`] against one
-/// [`Room`] in a single deterministic loop — the scheduling equivalent
-/// of [`Room::run_controlled`].
+/// [`Room`]: the crate's driver ([`crate::drive`]) with the job and
+/// controller stages present.
 ///
-/// Each step, on the loop's own clock: finished jobs retire, newly
-/// arrived jobs join the queue, the scheduler re-plans on its own
-/// decision period (assignments are re-validated and committed
-/// all-or-nothing per job), the refreshed placement is applied through
-/// [`Room::apply_placement`], the controller decides on *its* period
-/// exactly as in [`Room::run_controlled`], and the room advances with
+/// Each step: finished jobs retire, newly arrived jobs join the queue,
+/// the scheduler re-plans on its own decision period (assignments are
+/// re-validated and committed all-or-nothing per job), the refreshed
+/// placement is applied through [`Room::apply_placement`], the
+/// controller decides on *its* period, and the room advances with
 /// [`Room::step_placed`]. All decisions happen in the serial section
 /// between steps, so the trajectory is bit-identical for any
 /// `LEAKCTL_THREADS` plan.
 ///
-/// State (queue, resident jobs, clock, stats) persists across
-/// [`run`](Self::run) calls, so a warm-up chunk and a measured chunk
-/// compose like chunked [`Room::run_controlled`] calls.
+/// State (queue, resident jobs, clock, decision phases, stats) persists
+/// across [`run`](Self::run) calls, so a run split into chunks — a
+/// warm-up and a measured phase, or one step per call — is
+/// bit-identical to one long call.
 #[derive(Debug)]
 pub struct ScheduledLoop {
+    jobs: JobQueue,
+    driver: Driver,
+}
+
+/// The job stage's state: the stream, the queue, the resident jobs and
+/// the per-rack occupancy they add up to.
+#[derive(Debug)]
+struct JobQueue {
     stream: JobStream,
     admission: FairShareRack,
     pending: Vec<Job>,
     active: Vec<ActiveJob>,
     loads: Option<RackLoads>,
-    now: SimDuration,
-    since_sched: Option<SimDuration>,
-    since_ctrl: Option<SimDuration>,
     stats: ScheduleStats,
     obs: RoomObservation,
     action: PlacementAction,
+}
+
+impl JobQueue {
+    /// One job stage: retire, admit, schedule (when `schedule` is due),
+    /// then refresh the room's resident placement.
+    fn stage(
+        &mut self,
+        room: &mut Room,
+        scheduler: &mut dyn RoomScheduler,
+        now: SimDuration,
+        schedule: bool,
+    ) -> Result<(), CoreError> {
+        // ---- retire finished jobs (their demand leaves the floor).
+        let loads = self.loads.as_mut().unwrap_or_else(|| unreachable!());
+        let mut completed = 0;
+        self.active.retain(|job| {
+            if job.end <= now {
+                loads.finish(job.rack, job.utilization);
+                completed += 1;
+                false
+            } else {
+                true
+            }
+        });
+        self.stats.completed += completed;
+
+        // ---- pull arrivals into the queue.
+        let before = self.pending.len();
+        self.stream.pop_arrived(now, &mut self.pending);
+        self.stats.submitted += (self.pending.len() - before) as u64;
+
+        // ---- scheduler decision on its own cadence.
+        let racks = loads.racks();
+        if schedule {
+            self.stats.sched_decisions += 1;
+            room.observe_into(&mut self.obs);
+            let assignments = scheduler.place(&self.obs, &self.pending, loads);
+            if assignments.len() != self.pending.len() {
+                return Err(CoreError::Invalid {
+                    what: format!(
+                        "scheduler `{}` returned {} assignments for {} pending jobs",
+                        scheduler.name(),
+                        assignments.len(),
+                        self.pending.len()
+                    ),
+                });
+            }
+            // Commit feasible assignments; infeasible ones are
+            // rejected deterministically and the job stays queued.
+            let mut kept = 0;
+            for (i, assignment) in assignments.iter().enumerate() {
+                let job = self.pending[i];
+                match *assignment {
+                    Some(rack) if rack < racks && loads.free_slots(rack) > 0 => {
+                        self.stats.sched_assignments += 1;
+                        self.stats.placed += 1;
+                        loads.start(rack, &job);
+                        self.active.push(ActiveJob {
+                            end: now + job.duration,
+                            rack,
+                            utilization: job.utilization.as_fraction(),
+                        });
+                    }
+                    Some(_) => {
+                        self.stats.sched_assignments += 1;
+                        self.stats.rejected += 1;
+                        self.pending[kept] = job;
+                        kept += 1;
+                    }
+                    None => {
+                        self.pending[kept] = job;
+                        kept += 1;
+                    }
+                }
+            }
+            self.pending.truncate(kept);
+            self.stats.peak_pending = self.stats.peak_pending.max(self.pending.len());
+        }
+
+        // ---- refresh the resident placement from the occupancy
+        // (churn between decisions shows up here, not as decisions).
+        self.action.utilizations.clear();
+        let spr = loads.servers_per_rack();
+        self.action.utilizations.extend((0..racks).map(|r| {
+            self.admission
+                .activity(loads.demand(r), spr)
+                .clamp(0.0, 1.0)
+        }));
+        room.apply_placement(&self.action)
+    }
 }
 
 impl ScheduledLoop {
@@ -921,24 +1017,24 @@ impl ScheduledLoop {
     #[must_use]
     pub fn new(stream: JobStream) -> Self {
         Self {
-            stream,
-            admission: FairShareRack,
-            pending: Vec::new(),
-            active: Vec::new(),
-            loads: None,
-            now: SimDuration::ZERO,
-            since_sched: None,
-            since_ctrl: None,
-            stats: ScheduleStats::default(),
-            obs: RoomObservation::new(),
-            action: PlacementAction::from_fractions(Vec::new()),
+            jobs: JobQueue {
+                stream,
+                admission: FairShareRack,
+                pending: Vec::new(),
+                active: Vec::new(),
+                loads: None,
+                stats: ScheduleStats::default(),
+                obs: RoomObservation::new(),
+                action: PlacementAction::from_fractions(Vec::new()),
+            },
+            driver: Driver::new(1, Utilization::IDLE),
         }
     }
 
     /// Cumulative counters so far.
     #[must_use]
     pub fn stats(&self) -> &ScheduleStats {
-        &self.stats
+        &self.jobs.stats
     }
 
     /// The loop's clock: simulated time scheduled so far (independent
@@ -946,13 +1042,13 @@ impl ScheduledLoop {
     /// across warm-up/measurement chunking).
     #[must_use]
     pub fn now(&self) -> SimDuration {
-        self.now
+        self.driver.now()
     }
 
     /// Jobs currently waiting for a feasible rack.
     #[must_use]
     pub fn pending_jobs(&self) -> usize {
-        self.pending.len()
+        self.jobs.pending.len()
     }
 
     /// Restarts peak tracking (hottest die, deepest queue) without
@@ -961,14 +1057,15 @@ impl ScheduledLoop {
     /// peaks cover exactly the measured phase, the scheduling
     /// counterpart of [`Room::reset_accounting`].
     pub fn reset_peaks(&mut self) {
-        self.stats.peak_die = Celsius::new(f64::NEG_INFINITY);
-        self.stats.peak_pending = 0;
+        self.driver.reset_peak_die();
+        self.jobs.stats.peak_die = Celsius::new(f64::NEG_INFINITY);
+        self.jobs.stats.peak_pending = 0;
     }
 
     /// Jobs currently resident on racks.
     #[must_use]
     pub fn running_jobs(&self) -> usize {
-        self.active.len()
+        self.jobs.active.len()
     }
 
     /// Advances `room` by `steps` steps of `dt` under `scheduler` and
@@ -987,13 +1084,9 @@ impl ScheduledLoop {
         dt: SimDuration,
         steps: u64,
     ) -> Result<ScheduleStats, CoreError> {
-        if dt.is_zero() {
-            return Err(CoreError::Invalid {
-                what: "scheduled runs need a positive step".to_owned(),
-            });
-        }
         let racks = room.racks();
         let loads = self
+            .jobs
             .loads
             .get_or_insert_with(|| RackLoads::new(racks, room.servers() / racks.max(1)));
         if loads.racks() != racks {
@@ -1001,111 +1094,19 @@ impl ScheduledLoop {
                 what: "scheduled loop reused across rooms of different size".to_owned(),
             });
         }
-        let sched_period = scheduler.decision_period();
-        let ctrl_period = controller.decision_period();
-        for _ in 0..steps {
-            // ---- retire finished jobs (their demand leaves the floor).
-            let now = self.now;
-            let loads = self.loads.as_mut().unwrap_or_else(|| unreachable!());
-            let mut completed = 0;
-            self.active.retain(|job| {
-                if job.end <= now {
-                    loads.finish(job.rack, job.utilization);
-                    completed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            self.stats.completed += completed;
-
-            // ---- pull arrivals into the queue.
-            let before = self.pending.len();
-            self.stream.pop_arrived(now, &mut self.pending);
-            self.stats.submitted += (self.pending.len() - before) as u64;
-
-            // ---- scheduler decision on its own cadence (and at t=0).
-            if self.since_sched.is_none_or(|s| s >= sched_period) {
-                self.since_sched = Some(SimDuration::ZERO);
-                self.stats.sched_decisions += 1;
-                room.observe_into(&mut self.obs);
-                let assignments = scheduler.place(&self.obs, &self.pending, loads);
-                if assignments.len() != self.pending.len() {
-                    return Err(CoreError::Invalid {
-                        what: format!(
-                            "scheduler `{}` returned {} assignments for {} pending jobs",
-                            scheduler.name(),
-                            assignments.len(),
-                            self.pending.len()
-                        ),
-                    });
-                }
-                // Commit feasible assignments; infeasible ones are
-                // rejected deterministically and the job stays queued.
-                let mut kept = 0;
-                for (i, assignment) in assignments.iter().enumerate() {
-                    let job = self.pending[i];
-                    match *assignment {
-                        Some(rack) if rack < racks && loads.free_slots(rack) > 0 => {
-                            self.stats.sched_assignments += 1;
-                            self.stats.placed += 1;
-                            loads.start(rack, &job);
-                            self.active.push(ActiveJob {
-                                end: now + job.duration,
-                                rack,
-                                utilization: job.utilization.as_fraction(),
-                            });
-                        }
-                        Some(_) => {
-                            self.stats.sched_assignments += 1;
-                            self.stats.rejected += 1;
-                            self.pending[kept] = job;
-                            kept += 1;
-                        }
-                        None => {
-                            self.pending[kept] = job;
-                            kept += 1;
-                        }
-                    }
-                }
-                self.pending.truncate(kept);
-                self.stats.peak_pending = self.stats.peak_pending.max(self.pending.len());
-            }
-
-            // ---- refresh the resident placement from the occupancy
-            // (churn between decisions shows up here, not as decisions).
-            self.action.utilizations.clear();
-            let spr = loads.servers_per_rack();
-            self.action.utilizations.extend((0..racks).map(|r| {
-                self.admission
-                    .activity(loads.demand(r), spr)
-                    .clamp(0.0, 1.0)
-            }));
-            room.apply_placement(&self.action)?;
-
-            // ---- cooling decision on the controller's own cadence.
-            if self.since_ctrl.is_none_or(|s| s >= ctrl_period) {
-                self.since_ctrl = Some(SimDuration::ZERO);
-                self.stats.ctrl_decisions += 1;
-                let action = room.decide(controller, &mut self.obs);
-                if !action.is_hold() {
-                    self.stats.ctrl_applied += 1;
-                    room.apply(&action)?;
-                }
-            }
-
-            // ---- advance.
-            room.step_placed(dt)?;
-            self.now += dt;
-            if let Some(s) = self.since_sched.as_mut() {
-                *s += dt;
-            }
-            if let Some(s) = self.since_ctrl.as_mut() {
-                *s += dt;
-            }
-            self.stats.peak_die = self.stats.peak_die.max(room.max_die_temperature());
-        }
-        Ok(self.stats)
+        let period = scheduler.decision_period();
+        let jobs = &mut self.jobs;
+        let mut stage = |room: &mut Room, now, schedule| jobs.stage(room, scheduler, now, schedule);
+        let mut controllers = [controller];
+        let mut stages = Stages::new(dt, &mut controllers);
+        stages.jobs = Some((period, &mut stage));
+        let result = self.driver.run(room, stages, steps);
+        let control = self.driver.stats();
+        let stats = &mut self.jobs.stats;
+        stats.ctrl_decisions = control.decisions;
+        stats.ctrl_applied = control.applied;
+        stats.peak_die = control.peak_die;
+        result.map(|()| *stats)
     }
 }
 

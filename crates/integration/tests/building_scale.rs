@@ -1,8 +1,8 @@
 //! Building-scale properties: supervised multi-room trajectories are
-//! bit-identical for any thread plan, building checkpoints resume
-//! exactly (including mid-fault, across plans), same-instant scenario
-//! events fire in stable script order, and controller state restore is
-//! junk-tolerant.
+//! bit-identical for any thread plan and any chunking of the run,
+//! building checkpoints resume exactly (including mid-fault, across
+//! plans), same-instant scenario events fire in stable script order,
+//! and controller state restore is junk-tolerant.
 
 use leakctl::building::{Building, BuildingConfig};
 use leakctl::control::{
@@ -11,8 +11,8 @@ use leakctl::control::{
 };
 use leakctl::room::{Room, RoomConfig};
 use leakctl::scenario::{
-    BuildingEvent, BuildingScenario, BuildingScenarioRunner, Scenario, ScenarioEvent,
-    ScenarioRunner,
+    BuildingEvent, BuildingOutcome, BuildingScenario, BuildingScenarioRunner, Scenario,
+    ScenarioEvent, ScenarioRunner,
 };
 use leakctl::supervise::{Supervisor, SupervisorConfig};
 use leakctl::BuildingError;
@@ -134,6 +134,29 @@ fn fingerprint(building: &Building, supervisor: &Supervisor) -> (u64, u64, Vec<u
     )
 }
 
+/// Every counter and figure of a building outcome, exact to the bit.
+fn outcome_print(outcome: &BuildingOutcome) -> Vec<u64> {
+    let stats = &outcome.stats;
+    vec![
+        outcome.total_energy.value().to_bits(),
+        outcome.it_energy.value().to_bits(),
+        outcome.plant_energy.value().to_bits(),
+        outcome.final_max_die.degrees().to_bits(),
+        outcome.events_applied as u64,
+        stats.decisions,
+        stats.applied,
+        stats.peak_die.degrees().to_bits(),
+        stats.cap_violation_time.as_millis(),
+        stats.recovery_time.map_or(u64::MAX, |t| t.as_millis()),
+        outcome.trips.nan,
+        outcome.trips.conservation,
+        outcome.trips.runaway,
+        outcome.sheds,
+        outcome.escalations,
+        outcome.shed_time.as_millis(),
+    ]
+}
+
 /// A supervised scripted run is bit-identical on thread plans {1, 2, 8}
 /// — rooms are the unit of parallelism and couple only through the
 /// serial plant phase.
@@ -176,6 +199,7 @@ proptest! {
         at in 0.15..0.85f64,
         seed in 0u64..1_000,
         kind in 0u8..3,
+        split in prop::collection::vec(1u64..40, 1..6),
     ) {
         let script = building_script(steps);
 
@@ -183,8 +207,27 @@ proptest! {
         let mut controllers = fleet(kind, rooms);
         let mut sup = supervisor(rooms);
         let mut runner = BuildingScenarioRunner::new(script.clone(), rooms);
-        runner.run(&mut building, &mut controllers, &mut sup).unwrap();
+        let outcome = runner.run(&mut building, &mut controllers, &mut sup).unwrap();
         let reference = fingerprint(&building, &sup);
+        let reference_outcome = outcome_print(&outcome);
+
+        // The same run chunked — one step per call, then a random split
+        // on another thread plan — agrees bit-for-bit.
+        for (plan, chunks) in [(1usize, vec![1u64]), (2, split.clone())] {
+            let mut building = small_building(ShardPlan::new(plan), rooms, seed);
+            let mut controllers = fleet(kind, rooms);
+            let mut sup = supervisor(rooms);
+            let mut runner = BuildingScenarioRunner::new(script.clone(), rooms);
+            for &chunk in chunks.iter().cycle() {
+                if runner.finished() {
+                    break;
+                }
+                runner.run_steps(&mut building, &mut controllers, &mut sup, chunk).unwrap();
+            }
+            let outcome = runner.outcome(&building, &sup);
+            prop_assert_eq!(fingerprint(&building, &sup), reference.clone(), "chunks {:?}", &chunks);
+            prop_assert_eq!(outcome_print(&outcome), reference_outcome.clone(), "chunks {:?}", &chunks);
+        }
 
         let mid = ((steps as f64 * at) as u64).clamp(1, steps - 1);
         let mut building = small_building(ShardPlan::new(1), rooms, seed);

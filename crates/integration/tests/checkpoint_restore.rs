@@ -2,7 +2,8 @@
 //! and restored into a fresh room and controller — under a *different*
 //! worker-thread plan — finishes bit-identically to a run that was
 //! never interrupted, for every controller kind and any mid-scenario
-//! checkpoint point (including mid-fault).
+//! checkpoint point (including mid-fault); so does the same scenario
+//! driven in chunks of any size.
 
 use leakctl::control::{
     ControlAction, FixedSupplyController, LutSetPointController, MpcConfig, MpcSetPointController,
@@ -10,7 +11,7 @@ use leakctl::control::{
 };
 use leakctl::prelude::FanFault;
 use leakctl::room::{Room, RoomConfig};
-use leakctl::scenario::{Scenario, ScenarioEvent, ScenarioRunner};
+use leakctl::scenario::{Scenario, ScenarioEvent, ScenarioOutcome, ScenarioRunner};
 use leakctl::RoomError;
 use leakctl_thermal::ShardPlan;
 use leakctl_units::{Celsius, Rpm, SimDuration, Utilization};
@@ -27,6 +28,40 @@ fn fingerprint(room: &Room) -> (u64, u64, u64, Vec<u64>) {
         room.cooling_energy().value().to_bits(),
         aisles,
     )
+}
+
+/// Every counter and figure of a scenario outcome, exact to the bit.
+fn outcome_print(outcome: &ScenarioOutcome) -> Vec<u64> {
+    let stats = &outcome.stats;
+    vec![
+        outcome.total_energy.value().to_bits(),
+        outcome.it_energy.value().to_bits(),
+        outcome.cooling_energy.value().to_bits(),
+        outcome.final_max_die.degrees().to_bits(),
+        outcome.events_applied as u64,
+        stats.decisions,
+        stats.applied,
+        stats.peak_die.degrees().to_bits(),
+        stats.cap_violation_time.as_millis(),
+        stats.recovery_time.map_or(u64::MAX, |t| t.as_millis()),
+    ]
+}
+
+/// Finishes a scenario as a sequence of `run_steps` calls of the sizes
+/// in `chunks` (cycled).
+fn run_in_chunks(
+    runner: &mut ScenarioRunner,
+    room: &mut Room,
+    ctl: &mut dyn RoomController,
+    chunks: &[u64],
+) -> ScenarioOutcome {
+    for &chunk in chunks.iter().cycle() {
+        if runner.finished() {
+            break;
+        }
+        runner.run_steps(room, ctl, chunk).unwrap();
+    }
+    runner.outcome(room)
 }
 
 fn controller(kind: u8) -> Box<dyn RoomController> {
@@ -91,6 +126,7 @@ proptest! {
         at in 0.1..0.9f64,
         seed in 0u64..1_000,
         kind in 0u8..3,
+        split in prop::collection::vec(1u64..40, 1..6),
     ) {
         let make_room = |threads: usize| {
             let mut config = RoomConfig::new(rows, cols, spr);
@@ -106,8 +142,20 @@ proptest! {
         let mut room = make_room(1);
         let mut ctl = controller(kind);
         let mut runner = ScenarioRunner::new(script(steps, spr));
-        runner.run(&mut room, ctl.as_mut()).unwrap();
+        let outcome = runner.run(&mut room, ctl.as_mut()).unwrap();
         let reference = fingerprint(&room);
+        let reference_outcome = outcome_print(&outcome);
+
+        // The same run chunked — one step per call, then a random split
+        // on another thread plan — agrees bit-for-bit.
+        for (threads, chunks) in [(1usize, vec![1u64]), (2, split.clone())] {
+            let mut room = make_room(threads);
+            let mut ctl = controller(kind);
+            let mut runner = ScenarioRunner::new(script(steps, spr));
+            let outcome = run_in_chunks(&mut runner, &mut room, ctl.as_mut(), &chunks);
+            prop_assert_eq!(fingerprint(&room), reference.clone(), "chunks {:?}", &chunks);
+            prop_assert_eq!(outcome_print(&outcome), reference_outcome.clone(), "chunks {:?}", &chunks);
+        }
 
         let mid = ((steps as f64 * at) as u64).clamp(1, steps - 1);
         for (threads, resumed_threads) in [(1usize, 8usize), (2, 1), (8, 2)] {

@@ -1,13 +1,13 @@
 //! Scheduled closed-loop properties: the scheduler + controller loop
-//! is bit-identical across worker-thread counts, a rejected
-//! [`PlacementAction`] mutates nothing, and the resident placement
-//! (budgets included) rides checkpoint/restore.
+//! is bit-identical across worker-thread counts and chunked calls, a
+//! rejected [`PlacementAction`] mutates nothing, and the resident
+//! placement (budgets included) rides checkpoint/restore.
 
 use leakctl::control::{ControlAction, LutSetPointController, RoomController};
 use leakctl::room::{Room, RoomConfig};
 use leakctl::schedule::{
     JobStream, JobStreamConfig, LocalSearchScheduler, PlacementAction, RoomScheduler,
-    ScheduledLoop, ThermalGreedyConfig, ThermalGreedyScheduler,
+    ScheduleStats, ScheduledLoop, ThermalGreedyConfig, ThermalGreedyScheduler,
 };
 use leakctl::{CoreError, PlacementError};
 use leakctl_thermal::ShardPlan;
@@ -27,15 +27,41 @@ fn fingerprint(room: &Room) -> (u64, u64, u64, Vec<u64>) {
     )
 }
 
+/// Drives `steps` steps as a sequence of `run` calls of the sizes in
+/// `chunks` (cycled), returning the stats of the last call.
+fn run_in_chunks(
+    the_loop: &mut ScheduledLoop,
+    room: &mut Room,
+    scheduler: &mut dyn RoomScheduler,
+    controller: &mut dyn RoomController,
+    steps: u64,
+    chunks: &[u64],
+) -> ScheduleStats {
+    let mut stats = *the_loop.stats();
+    let mut done = 0;
+    for &chunk in chunks.iter().cycle() {
+        if done == steps {
+            break;
+        }
+        let n = chunk.min(steps - done);
+        stats = the_loop
+            .run(room, scheduler, controller, SimDuration::from_secs(1), n)
+            .unwrap();
+        done += n;
+    }
+    stats
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The scheduled closed loop — job arrivals, placement decisions,
     /// admission, cooling control and physics — is deterministic under
-    /// cross-rack sharding: for any floor geometry, arrival rate and
-    /// placement policy (thermal-greedy or local-search), the
-    /// trajectory and every scheduling counter are bit-identical at 1,
-    /// 2 and 8 worker threads.
+    /// cross-rack sharding and under chunking: for any floor geometry,
+    /// arrival rate and placement policy (thermal-greedy or
+    /// local-search), the trajectory and every scheduling counter are
+    /// bit-identical at 1, 2 and 8 worker threads, and whether the run
+    /// is one call, one-step calls or a random split into chunks.
     #[test]
     fn scheduled_loop_bit_identical_across_thread_counts(
         rows in 1usize..3,
@@ -46,8 +72,9 @@ proptest! {
         steps in 40u64..90,
         seed in 0u64..1_000,
         refine in proptest::any::<bool>(),
+        split in prop::collection::vec(1u64..25, 1..6),
     ) {
-        let run = |threads: usize| {
+        let run = |threads: usize, chunks: &[u64]| {
             let mut config = RoomConfig::new(rows, cols, spr);
             config.recirculation_fraction = recirc;
             config.seed = seed;
@@ -68,28 +95,37 @@ proptest! {
             jobs.mean_duration = SimDuration::from_secs(45);
             jobs.min_duration = SimDuration::from_secs(10);
             let mut the_loop = ScheduledLoop::new(JobStream::generate(jobs).unwrap());
-            let stats = the_loop
-                .run(
-                    &mut room,
-                    scheduler.as_mut(),
-                    &mut controller,
-                    SimDuration::from_secs(1),
-                    steps,
-                )
-                .unwrap();
+            let stats = run_in_chunks(
+                &mut the_loop,
+                &mut room,
+                scheduler.as_mut(),
+                &mut controller,
+                steps,
+                chunks,
+            );
             (
                 fingerprint(&room),
-                stats.submitted,
-                stats.placed,
-                stats.rejected,
-                stats.completed,
-                stats.peak_die.degrees().to_bits(),
+                [
+                    stats.submitted,
+                    stats.placed,
+                    stats.rejected,
+                    stats.sched_assignments,
+                    stats.completed,
+                    stats.sched_decisions,
+                    stats.ctrl_decisions,
+                    stats.ctrl_applied,
+                    stats.peak_pending as u64,
+                    stats.peak_die.degrees().to_bits(),
+                ],
+                (the_loop.now(), the_loop.pending_jobs(), the_loop.running_jobs()),
             )
         };
-        let reference = run(1);
+        let reference = run(1, &[steps]);
         for threads in [2usize, 8] {
-            prop_assert_eq!(run(threads), reference.clone(), "threads {}", threads);
+            prop_assert_eq!(run(threads, &[steps]), reference.clone(), "threads {}", threads);
         }
+        prop_assert_eq!(run(1, &[1]), reference.clone(), "one-step calls");
+        prop_assert_eq!(run(2, &split), reference.clone(), "split {:?}", split);
     }
 }
 

@@ -79,13 +79,6 @@ pub use shard::{
 pub use solver::Integrator;
 pub use stepper::TransientSolver;
 
-/// A [`TransientSolver`] pinned to the dense backend (explicit choice;
-/// [`TransientSolver::new`] auto-selects).
-pub type DenseTransientSolver = TransientSolver<DenseBackend>;
-
-/// A [`TransientSolver`] pinned to the CSR sparse backend.
-pub type CsrTransientSolver = TransientSolver<CsrBackend>;
-
 /// Specific heat capacity of air at constant pressure, J/(kg·K).
 pub const AIR_SPECIFIC_HEAT: f64 = 1006.0;
 

@@ -125,9 +125,9 @@ impl TransientSolver<AutoBackend> {
 }
 
 impl<B: SolverBackend> TransientSolver<B> {
-    /// Builds a solver for `net` over an explicitly chosen backend —
-    /// see [`DenseTransientSolver`](crate::DenseTransientSolver) and
-    /// [`CsrTransientSolver`](crate::CsrTransientSolver).
+    /// Builds a solver for `net` over an explicitly chosen backend,
+    /// e.g. `TransientSolver::<DenseBackend>::with_backend(&net)` or
+    /// `TransientSolver::<CsrBackend>::with_backend(&net)`.
     #[must_use]
     pub fn with_backend(net: &ThermalNetwork) -> Self {
         let n = net.state_count();

@@ -7,9 +7,9 @@
 //! randomized topologies, batch sizes and mid-run input changes.
 
 use leakctl_thermal::{
-    BatchLane, BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, HeteroBatch,
-    Integrator, PackedLanes, ShardPlan, ShardedBatchSolver, ShardedLanes, ThermalNetwork,
-    ThermalNetworkBuilder,
+    BatchLane, BatchSolver, Coupling, CsrBackend, DenseBackend, HeteroBatch, Integrator,
+    PackedLanes, ShardPlan, ShardedBatchSolver, ShardedLanes, ThermalNetwork,
+    ThermalNetworkBuilder, TransientSolver,
 };
 use leakctl_units::{AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
 use proptest::prelude::*;
@@ -126,8 +126,8 @@ proptest! {
     ) {
         for method in ALL_INTEGRATORS {
             let mut rig = build_rig(branches, &caps, &conductances, &powers, ambient, cfm);
-            let mut dense = DenseTransientSolver::with_backend(&rig.net);
-            let mut csr = CsrTransientSolver::with_backend(&rig.net);
+            let mut dense = TransientSolver::<DenseBackend>::with_backend(&rig.net);
+            let mut csr = TransientSolver::<CsrBackend>::with_backend(&rig.net);
             let mut sd = rig.net.uniform_state(Celsius::new(ambient));
             let mut sc = rig.net.uniform_state(Celsius::new(ambient));
             let dt = SimDuration::from_millis(dt_ms);
@@ -200,7 +200,7 @@ proptest! {
             .iter()
             .map(|r| {
                 (
-                    DenseTransientSolver::with_backend(&r.net),
+                    TransientSolver::<DenseBackend>::with_backend(&r.net),
                     r.net.uniform_state(Celsius::new(ambient)),
                 )
             })
@@ -344,11 +344,11 @@ proptest! {
             net.set_power(*die, Watts::new(power + (i % 5) as f64)).unwrap();
         }
         // The auto backend must pick CSR here.
-        let auto = leakctl_thermal::TransientSolver::new(&net);
+        let auto = TransientSolver::new(&net);
         assert!(auto.is_sparse());
 
-        let mut dense = DenseTransientSolver::with_backend(&net);
-        let mut csr = CsrTransientSolver::with_backend(&net);
+        let mut dense = TransientSolver::<DenseBackend>::with_backend(&net);
+        let mut csr = TransientSolver::<CsrBackend>::with_backend(&net);
         let mut sd = net.uniform_state(Celsius::new(22.0));
         let mut sc = net.uniform_state(Celsius::new(22.0));
         let dt = SimDuration::from_secs(1);
@@ -486,13 +486,13 @@ proptest! {
             .map(|n| n.uniform_state(Celsius::new(ambient)))
             .collect();
         let plan = ShardPlan::new(2).with_min_lanes_per_shard(1);
-        let mut hetero = HeteroBatch::<leakctl_thermal::DenseBackend>::pack(&nets, &states, plan);
+        let mut hetero = HeteroBatch::<DenseBackend>::pack(&nets, &states, plan);
         prop_assert!(hetero.group_count() >= 2, "mixed fleet must split");
         let mut reference: Vec<_> = nets
             .iter()
             .map(|n| {
                 (
-                    DenseTransientSolver::with_backend(n),
+                    TransientSolver::<DenseBackend>::with_backend(n),
                     n.uniform_state(Celsius::new(ambient)),
                 )
             })
