@@ -1,13 +1,12 @@
 //! Criterion bench for **rack-scale** stepping: the shared-factorization
-//! batch engine against independent per-server solves, thread-sharded
-//! stepping, hash-grouped heterogeneous (mixed-SKU) fleets, and the
-//! CSR sparse backend against dense at room-scale node counts.
+//! batch engine against independent per-server solves, and the CSR
+//! sparse backend against dense at room-scale node counts.
 //!
 //! Run with `cargo bench -p leakctl-bench --bench rack_scale`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use leakctl_bench::{room_network, HeteroRackKernel, RackKernel, ShardedRackKernel};
-use leakctl_thermal::{CsrBackend, DenseBackend, Integrator, ShardPlan, TransientSolver};
+use leakctl_bench::{room_network, RackKernel};
+use leakctl_thermal::{CsrBackend, DenseBackend, Integrator, TransientSolver};
 use leakctl_units::{AirFlow, Celsius, SimDuration, Watts};
 
 fn bench_rack_scale(c: &mut Criterion) {
@@ -68,50 +67,6 @@ fn bench_rack_scale(c: &mut Criterion) {
             solvers[0].1.max_temperature()
         })
     });
-    group.finish();
-
-    // Thread-sharded packed stepping: single worker vs the
-    // environment's plan (LEAKCTL_THREADS / machine parallelism).
-    // Results are bit-identical; only wall-clock moves.
-    let mut group = c.benchmark_group("rack_sharded");
-    group.sample_size(10);
-    let env_threads = ShardPlan::from_env().threads();
-    for threads in [1usize, env_threads] {
-        group.bench_function(format!("shard128_t{threads}_200steps"), |b| {
-            let mut kernel = ShardedRackKernel::new(128, threads);
-            kernel.step_many(1);
-            b.iter(|| {
-                kernel.step_many(BLOCK);
-                kernel.max_temperature()
-            })
-        });
-        if env_threads == 1 {
-            break;
-        }
-    }
-    group.finish();
-
-    // Heterogeneous fleet: 128 servers cycling through 1/2/3-socket
-    // SKUs, hash-grouped so each SKU batches through its own shared
-    // factorization. Tracked so mixed-fleet batching has a number.
-    let mut probe = HeteroRackKernel::new(128);
-    assert_eq!(probe.group_count(), 3, "three SKUs in the mix");
-    probe.step(300);
-    let t = probe.max_temperature().degrees();
-    eprintln!("[rack_scale] 128-lane mixed-SKU fleet after 300 s: max {t:.1} C");
-    assert!(t > 30.0, "heterogeneous lanes must heat up");
-    let mut group = c.benchmark_group("heterogeneous_fleet");
-    group.sample_size(10);
-    for servers in [32usize, 128] {
-        group.bench_function(format!("hetero{servers}_3sku_200steps"), |b| {
-            let mut kernel = HeteroRackKernel::new(servers);
-            kernel.step(1);
-            b.iter(|| {
-                kernel.step(BLOCK);
-                kernel.max_temperature()
-            })
-        });
-    }
     group.finish();
 
     // CSR vs dense at a room-scale node count (211 nodes).

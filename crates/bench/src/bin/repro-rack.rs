@@ -21,12 +21,9 @@
 //! - `rack128_fleet_step` — the full `Fleet::step` (batched thermal
 //!   solve *plus* per-server dynamics and telemetry), for context on
 //!   end-to-end rack throughput.
-//! - `rack128_shard1` / `rack128_parallel` — the thread-sharded packed
-//!   engine at one worker and at the best multi-worker count of a
-//!   sweep up to `LEAKCTL_THREADS` (or the machine's parallelism);
-//!   `rack128_parallel` carries `parallel_speedup_x`, the
-//!   multi-thread-over-single-thread ratio. Results are bit-identical
-//!   across the sweep.
+//!
+//! Every measurement runs on one thread: a rack steps as one packed
+//! block, and the simulator parallelizes only across racks and rooms.
 //!
 //! The headline `batch_speedup_x` extra on `rack128_batch_thermal` is
 //! its ratio to `rack128_server_loop` in servers-stepped/sec;
@@ -42,8 +39,7 @@ use std::time::Instant;
 use leakctl::fleet::Fleet;
 use leakctl::prelude::*;
 use leakctl_bench::perf::{best_of, merge_into_json, render_json, PerfResult};
-use leakctl_bench::{RackKernel, ShardedRackKernel};
-use leakctl_thermal::ShardPlan;
+use leakctl_bench::RackKernel;
 
 /// Rack size for the headline measurements.
 const RACK: usize = 128;
@@ -121,30 +117,6 @@ fn bench_batch_dynamic(steps: u64) -> PerfResult {
     }
 }
 
-/// Thread-sharded batch stepping at a fixed worker count (constant
-/// inputs; one serial prepare, then every worker runs its shard's full
-/// step sequence with zero cross-thread synchronization).
-fn bench_sharded(steps: u64, threads: usize, name: &'static str) -> PerfResult {
-    let mut kernel = ShardedRackKernel::new(RACK, threads);
-    kernel.step_many(1);
-    let start = Instant::now();
-    kernel.step_many(steps);
-    let wall_s = start.elapsed().as_secs_f64();
-    PerfResult {
-        name,
-        steps: steps * RACK as u64,
-        wall_s,
-        extra: vec![
-            ("threads", format!("{threads}")),
-            ("shards", format!("{}", kernel.shard_count())),
-            (
-                "max_temp_c",
-                format!("{:.6}", kernel.max_temperature().degrees()),
-            ),
-        ],
-    }
-}
-
 /// End-to-end `Fleet::step` (batched thermal solve + per-server
 /// dynamics + telemetry) at rack scale.
 fn bench_fleet_step(steps: u64) -> PerfResult {
@@ -200,46 +172,6 @@ fn main() {
     let mut dynamic = best_of(reps, || bench_batch_dynamic(steps * 20));
     let fleet = best_of(reps, || bench_fleet_step(steps));
 
-    // Thread sweep over the sharded engine: single-worker baseline plus
-    // every power-of-two worker count up to the environment's plan
-    // (LEAKCTL_THREADS or the machine). `parallel_speedup_x` is the
-    // best multi-worker throughput over the 1-worker throughput —
-    // results are bit-identical across the sweep, only wall-clock
-    // moves.
-    let max_threads = ShardPlan::from_env().threads();
-    let single = best_of(reps, || bench_sharded(steps * 20, 1, "rack128_shard1"));
-    let mut candidates: Vec<usize> = [2usize, 4, 8, 16]
-        .into_iter()
-        .filter(|&t| t < max_threads)
-        .collect();
-    candidates.push(max_threads.max(1));
-    candidates.dedup();
-    let mut parallel = candidates
-        .into_iter()
-        .filter(|&t| t > 1)
-        .map(|t| {
-            println!("  sweeping {t} worker threads...");
-            best_of(reps, move || {
-                bench_sharded(steps * 20, t, "rack128_parallel")
-            })
-        })
-        .max_by(|a, b| {
-            a.steps_per_sec()
-                .partial_cmp(&b.steps_per_sec())
-                .expect("throughputs are finite")
-        })
-        .unwrap_or_else(|| {
-            // Single-core machine: report the 1-thread result under the
-            // parallel name so the differ keeps a continuous series.
-            let mut r = single.clone();
-            r.name = "rack128_parallel";
-            r
-        });
-    let parallel_speedup = parallel.steps_per_sec() / single.steps_per_sec();
-    parallel
-        .extra
-        .push(("parallel_speedup_x", format!("{parallel_speedup:.2}")));
-
     let speedup = batched.steps_per_sec() / scalar.steps_per_sec();
     batched
         .extra
@@ -252,7 +184,7 @@ fn main() {
         .extra
         .push(("dynamic_speedup_x", format!("{dyn_speedup:.2}")));
 
-    let results = vec![scalar, batched, dynamic, fleet, single, parallel];
+    let results = vec![scalar, batched, dynamic, fleet];
     for r in &results {
         println!(
             "{:<24} {:>10} server-steps in {:>8.3} s -> {:>12.0} servers-stepped/s",
@@ -267,7 +199,6 @@ fn main() {
     }
     println!("\nbatch vs independent Server::step: {speedup:.1}x");
     println!("dynamic-input batch vs Server::step: {dyn_speedup:.1}x");
-    println!("multi-thread vs single-thread sharded: {parallel_speedup:.2}x (up to {max_threads} threads)");
 
     let json = match std::fs::read_to_string(&out_path)
         .ok()

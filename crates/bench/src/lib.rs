@@ -438,7 +438,7 @@ impl RackKernel {
         let dt = SimDuration::from_secs(1);
         for _ in 0..steps {
             self.solver
-                .step_packed(&self.nets, &mut self.packed, dt)
+                .step_packed(|lane| &self.nets[lane], &mut self.packed, dt)
                 .expect("batch step succeeds");
         }
     }
@@ -457,7 +457,7 @@ impl RackKernel {
         for _ in 0..steps {
             self.wobble_powers();
             self.solver
-                .step_packed(&self.nets, &mut self.packed, dt)
+                .step_packed(|lane| &self.nets[lane], &mut self.packed, dt)
                 .expect("batch step succeeds");
         }
     }
@@ -499,155 +499,6 @@ impl RackKernel {
     #[must_use]
     pub fn max_temperature(&self) -> leakctl_units::Celsius {
         leakctl_units::Celsius::new(self.packed.max_temperature())
-    }
-}
-
-/// A rack of identical server-topology lanes stepped through the
-/// thread-sharded packed engine
-/// ([`ShardedBatchSolver`](leakctl_thermal::ShardedBatchSolver)) — the
-/// kernel behind the `repro-rack` thread sweep and the `rack_sharded`
-/// criterion group. Results are bit-identical to [`RackKernel`] for
-/// any thread count; only wall-clock changes.
-#[derive(Debug)]
-pub struct ShardedRackKernel {
-    nets: Vec<leakctl_thermal::ThermalNetwork>,
-    lanes: leakctl_thermal::ShardedLanes,
-    solver: leakctl_thermal::ShardedBatchSolver,
-}
-
-impl ShardedRackKernel {
-    /// Builds a kernel of `servers` lanes sharded across `threads`
-    /// workers (same lane construction as [`RackKernel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when construction fails (static topology, known to
-    /// build).
-    #[must_use]
-    pub fn new(servers: usize, threads: usize) -> Self {
-        use leakctl_thermal::{ShardPlan, ShardedBatchSolver, ShardedLanes};
-        use leakctl_units::{AirFlow, Celsius, Watts};
-        let mut nets = Vec::with_capacity(servers);
-        let mut states = Vec::with_capacity(servers);
-        for lane in 0..servers {
-            let (mut net, lane_dies, flow) = server_like_network(2);
-            net.set_flow(flow, AirFlow::from_cfm(250.0)).expect("flow");
-            for (s, &die) in lane_dies.iter().enumerate() {
-                net.set_power(die, Watts::new(80.0 + lane as f64 * 0.1 + s as f64))
-                    .expect("power");
-            }
-            states.push(net.uniform_state(Celsius::new(24.0)));
-            nets.push(net);
-        }
-        let plan = ShardPlan::new(threads);
-        let solver = ShardedBatchSolver::with_plan(&nets[0], plan);
-        let lanes = ShardedLanes::pack(&states, &plan);
-        Self {
-            nets,
-            lanes,
-            solver,
-        }
-    }
-
-    /// Number of shards the lane block splits into.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.lanes.shard_count()
-    }
-
-    /// Advances every lane by `steps` backward-Euler seconds with
-    /// inputs frozen: one serial prepare, then every worker runs its
-    /// shard's full step sequence with zero cross-thread
-    /// synchronization — the measurement behind `parallel_speedup_x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a step fails (the kernel networks are regular).
-    pub fn step_many(&mut self, steps: u64) {
-        use leakctl_units::SimDuration;
-        self.solver
-            .step_many(
-                &self.nets,
-                &mut self.lanes,
-                steps,
-                SimDuration::from_secs(1),
-            )
-            .expect("sharded step succeeds");
-    }
-
-    /// The hottest lane temperature (consume the result so benchmark
-    /// loops are not optimized away).
-    #[must_use]
-    pub fn max_temperature(&self) -> leakctl_units::Celsius {
-        leakctl_units::Celsius::new(self.lanes.max_temperature())
-    }
-}
-
-/// A mixed-SKU rack (1/2/3-socket server topologies interleaved)
-/// stepped through hash-grouped heterogeneous batching
-/// ([`HeteroBatch`](leakctl_thermal::HeteroBatch)) — the kernel behind
-/// the `heterogeneous_fleet` criterion group.
-#[derive(Debug)]
-pub struct HeteroRackKernel {
-    nets: Vec<leakctl_thermal::ThermalNetwork>,
-    batch: leakctl_thermal::HeteroBatch,
-}
-
-impl HeteroRackKernel {
-    /// Builds `servers` lanes cycling through 1-, 2- and 3-socket
-    /// SKUs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when construction fails (static topology, known to
-    /// build).
-    #[must_use]
-    pub fn new(servers: usize) -> Self {
-        use leakctl_thermal::{HeteroBatch, ShardPlan};
-        use leakctl_units::{AirFlow, Celsius, Watts};
-        let mut nets = Vec::with_capacity(servers);
-        let mut states = Vec::with_capacity(servers);
-        for lane in 0..servers {
-            let sockets = 1 + lane % 3;
-            let (mut net, lane_dies, flow) = server_like_network(sockets);
-            net.set_flow(flow, AirFlow::from_cfm(250.0)).expect("flow");
-            for (s, &die) in lane_dies.iter().enumerate() {
-                net.set_power(die, Watts::new(70.0 + lane as f64 * 0.1 + s as f64))
-                    .expect("power");
-            }
-            states.push(net.uniform_state(Celsius::new(24.0)));
-            nets.push(net);
-        }
-        let batch = HeteroBatch::pack(&nets, &states, ShardPlan::new(1));
-        Self { nets, batch }
-    }
-
-    /// Number of structure-hash groups (SKUs).
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.batch.group_count()
-    }
-
-    /// Advances every lane by `steps` backward-Euler seconds, each SKU
-    /// group batching through its own shared factorization.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a step fails (the kernel networks are regular).
-    pub fn step(&mut self, steps: u64) {
-        use leakctl_units::SimDuration;
-        for _ in 0..steps {
-            self.batch
-                .step(&self.nets, SimDuration::from_secs(1))
-                .expect("hetero step succeeds");
-        }
-    }
-
-    /// The hottest lane temperature (consume the result so benchmark
-    /// loops are not optimized away).
-    #[must_use]
-    pub fn max_temperature(&self) -> leakctl_units::Celsius {
-        leakctl_units::Celsius::new(self.batch.max_temperature())
     }
 }
 
@@ -1048,30 +899,6 @@ mod tests {
         // Above the CSR threshold: the auto backend goes sparse.
         let solver = leakctl_thermal::TransientSolver::new(&net);
         assert!(solver.is_sparse());
-    }
-
-    #[test]
-    fn sharded_kernel_bit_identical_to_packed_kernel() {
-        let mut packed = RackKernel::new(36);
-        packed.step_batched(200);
-        for threads in [1usize, 4] {
-            let mut sharded = ShardedRackKernel::new(36, threads);
-            sharded.step_many(200);
-            assert_eq!(
-                sharded.max_temperature().degrees().to_bits(),
-                packed.max_temperature().degrees().to_bits(),
-                "threads {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn hetero_kernel_groups_skus_and_warms_up() {
-        let mut kernel = HeteroRackKernel::new(12);
-        assert_eq!(kernel.group_count(), 3, "1/2/3-socket SKUs");
-        kernel.step(200);
-        let max = kernel.max_temperature().degrees();
-        assert!((30.0..100.0).contains(&max), "dies should warm, got {max}");
     }
 
     #[test]

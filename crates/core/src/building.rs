@@ -17,9 +17,9 @@
 //! plant phase** (sum the rooms' heat, update the loop, propagate
 //! capacity/floor into each room in index order) followed by a
 //! **parallel room phase** (rooms shard across scoped workers through
-//! the same `run_sharded` helper the fleets use). Rooms interact only
-//! through the serial phase, so building trajectories are
-//! **bit-identical for any thread plan** (`LEAKCTL_THREADS`).
+//! the same `run_sharded` helper the room's rack phase uses). Rooms
+//! interact only through the serial phase, so building trajectories
+//! are **bit-identical for any thread plan** (`LEAKCTL_THREADS`).
 //!
 //! The building is also the write path for the supervision layer
 //! ([`crate::supervise`]): per-room **power caps** clamp the activity a
@@ -32,8 +32,7 @@ use leakctl_units::{Celsius, Joules, SimDuration, Utilization, Watts};
 
 use crate::control::{ControlAction, RoomController, RoomObservation};
 use crate::error::{BuildingError, CoreError};
-use crate::fleet::run_sharded;
-use crate::room::{Room, RoomCheckpoint, RoomConfig};
+use crate::room::{run_sharded, Room, RoomCheckpoint, RoomConfig};
 use crate::schedule::PlacementAction;
 
 /// Scenario builder for a [`Building`]: per-room configurations, the
@@ -132,7 +131,7 @@ impl Building {
         Ok(Self {
             rooms,
             plant,
-            plan: plan.with_min_lanes_per_shard(1),
+            plan,
             air_approach: config.air_approach,
             commanded_supply,
             room_crah_health: vec![1.0; n],

@@ -1,5 +1,5 @@
 //! A rack-scale fleet of digital-twin servers stepped through the
-//! thread-sharded, shared-factorization batch engine.
+//! shared-factorization batch engine.
 //!
 //! [`Fleet`] supersedes the original scalar `Rack` (which stepped each
 //! server's thermal network through its own per-server solve) while
@@ -8,7 +8,7 @@
 //! telemetry run exactly as in `Server::step`; only the thermal
 //! integration is hoisted out and solved for all servers at once.
 //!
-//! The stepping engine works in three layers:
+//! The stepping engine works in two layers:
 //!
 //! - **Hash groups.** Servers are partitioned by their thermal
 //!   network's [`structure_hash`](leakctl_thermal::ThermalNetwork::structure_hash)
@@ -16,21 +16,21 @@
 //!   through its own shared `(dt, flow)` factorization instead of
 //!   falling back to scalar stepping.
 //! - **Resident packed state.** While a group's fan flows agree
-//!   (the common fleet regime), its thermal state lives in slot-major
-//!   [`ShardedLanes`] blocks *between* steps: no per-step
-//!   gather/scatter. Each step syncs only the CPU-die slots back into
-//!   the servers (the slots per-server dynamics read); a lane is fully
-//!   unpacked only on the steps whose telemetry poll actually reads it,
-//!   or when [`Fleet::server`]/[`Fleet::server_mut`] is called. When
-//!   flows diverge (per-server fan commands), the group transparently
-//!   falls back to the per-lane batch API and re-packs once flows
+//!   (the common fleet regime), its thermal state lives in one
+//!   slot-major [`PackedLanes`] block *between* steps, stepped through
+//!   [`BatchSolver::step_packed`]: no per-step gather/scatter. Each
+//!   step syncs only the CPU-die slots back into the servers (the
+//!   slots per-server dynamics read); a lane is fully unpacked only on
+//!   the steps whose telemetry poll actually reads it, or when
+//!   [`Fleet::server`]/[`Fleet::server_mut`] is called. When flows
+//!   diverge (per-server fan commands), the group transparently falls
+//!   back to the per-lane [`BatchSolver::step`] and re-packs once flows
 //!   re-converge.
-//! - **Shard workers.** Large groups split into per-shard lane blocks
-//!   ([`ShardPlan`], thread count from `LEAKCTL_THREADS` or the
-//!   machine) and each step's two parallel phases — per-server begin
-//!   (fans, failsafe, powers, accounting) and refresh+solve+finish —
-//!   run one [`std::thread::scope`] worker per shard. Results are
-//!   bit-identical for any thread or shard count.
+//!
+//! A fleet steps on the calling thread. Parallelism lives one level
+//! up: a [`Room`](crate::room::Room) steps its racks' fleets
+//! concurrently, and a [`Building`](crate::building::Building) its
+//! rooms.
 //!
 //! Inlet coupling follows the original model: all servers share one
 //! inlet whose temperature drifts with the rack's total heat (exhaust
@@ -38,28 +38,26 @@
 //! conclusion points toward.
 
 use std::ops::Range;
-use std::thread;
 
 use leakctl_platform::{FanFault, PlatformError, Server, ServerConfig};
 use leakctl_thermal::{
-    group_by_structure_hash, BatchLane, Integrator, ShardPlan, ShardedBatchSolver, ShardedLanes,
-    StepKernel, ThermalError, ThermalState,
+    BatchLane, BatchSolver, Integrator, PackedLanes, ThermalError, ThermalState,
 };
 use leakctl_units::{Celsius, Joules, Rpm, SimDuration, TempDelta, Utilization, Watts};
 
 use crate::error::CoreError;
 
 /// One structure-hash group: a contiguous run of (storage-ordered)
-/// servers sharing a topology, batched through one sharded solver.
+/// servers sharing a topology, batched through one solver.
 #[derive(Debug)]
 struct FleetGroup {
     /// Contiguous storage range of this group's servers.
     range: Range<usize>,
-    solver: ShardedBatchSolver,
+    solver: BatchSolver,
     /// Packed thermal state — authoritative while `Some` (flows
     /// homogeneous); `None` while the group steps through the per-lane
     /// fallback (diverged fans) or before the first step.
-    lanes: Option<ShardedLanes>,
+    lanes: Option<PackedLanes>,
     /// State slots of the CPU die nodes (identical across the group's
     /// topology): the only slots synced back every step.
     die_slots: Vec<usize>,
@@ -77,8 +75,8 @@ struct FleetGroup {
 ///
 /// With the default backward-Euler integrator, every step batches each
 /// hash group's thermal solves through shared factorizations on the
-/// packed sharded engine; other integrators fall back to per-server
-/// stepping (there is no factorization to share).
+/// packed engine; other integrators fall back to per-server stepping
+/// (there is no factorization to share).
 ///
 /// # Example
 ///
@@ -128,8 +126,7 @@ impl Fleet {
         recirculation_k_per_w: f64,
         seed: u64,
     ) -> Result<Self, CoreError> {
-        let configs = vec![config; count];
-        Self::with_plan(&configs, recirculation_k_per_w, seed, Self::default_plan())
+        Self::from_configs(&vec![config; count], recirculation_k_per_w, seed)
     }
 
     /// Builds a heterogeneous (mixed-SKU) fleet: server `i` is built
@@ -146,32 +143,6 @@ impl Fleet {
         configs: &[ServerConfig],
         recirculation_k_per_w: f64,
         seed: u64,
-    ) -> Result<Self, CoreError> {
-        Self::with_plan(configs, recirculation_k_per_w, seed, Self::default_plan())
-    }
-
-    /// The environment's thread plan, widened for fleet stepping:
-    /// `Fleet::step` spawns its scoped workers twice per step (begin
-    /// phase, then solve+finish), so shards need enough per-server
-    /// dynamics work to amortize the spawns — a wider floor than the
-    /// thermal-only kernels use. [`Fleet::with_plan`] honors a
-    /// caller's plan verbatim.
-    fn default_plan() -> ShardPlan {
-        ShardPlan::from_env().with_min_lanes_per_shard(32)
-    }
-
-    /// As [`Fleet::from_configs`], with an explicit thread/shard plan
-    /// instead of the environment's (results are bit-identical for any
-    /// plan; this is a performance/test knob).
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::new`].
-    pub fn with_plan(
-        configs: &[ServerConfig],
-        recirculation_k_per_w: f64,
-        seed: u64,
-        plan: ShardPlan,
     ) -> Result<Self, CoreError> {
         if configs.is_empty() {
             return Err(CoreError::Invalid {
@@ -191,10 +162,9 @@ impl Fleet {
         let room = configs[0].ambient;
 
         // Partition original indices: batched servers by first-seen
-        // structure hash (the shared `group_by_structure_hash` policy),
-        // explicit-integrator servers to the scalar tail. Storage order
-        // = concatenated groups, then scalars, so every group is one
-        // contiguous, shardable server run.
+        // structure hash, explicit-integrator servers to the scalar
+        // tail. Storage order = concatenated groups, then scalars, so
+        // every group is one contiguous server run.
         let (batched_list, scalar_list): (Vec<usize>, Vec<usize>) = (0..built.len())
             .partition(|&i| built[i].config().integrator == Integrator::BackwardEuler);
         let member_lists: Vec<Vec<usize>> = group_by_structure_hash(
@@ -234,7 +204,7 @@ impl Fleet {
                 let template = &servers[index_map[template_original]];
                 FleetGroup {
                     range,
-                    solver: ShardedBatchSolver::with_plan(template.thermal_network(), plan),
+                    solver: BatchSolver::new(template.thermal_network()),
                     lanes: None,
                     die_slots: template.core().die_state_slots(),
                 }
@@ -402,9 +372,9 @@ impl Fleet {
 
     /// Snapshots the full fleet — every server's thermal state, fan
     /// bank (faults included), service processor, clock, accounting
-    /// and sensor RNG streams — in original index order. Packed shard
-    /// blocks are synced into the servers first, so the snapshot is
-    /// exact regardless of residency or thread plan.
+    /// and sensor RNG streams — in original index order. Packed blocks
+    /// are synced into the servers first, so the snapshot is exact
+    /// regardless of residency.
     pub fn checkpoint(&mut self) -> FleetCheckpoint {
         self.sync_states();
         FleetCheckpoint {
@@ -417,10 +387,10 @@ impl Fleet {
     }
 
     /// Restores a [`Fleet::checkpoint`] — into this fleet or any fleet
-    /// built from the same configs (any thread/shard plan). Packed
-    /// residency is dropped, so the next step re-packs the restored
-    /// states verbatim and re-derives factorizations from them: the
-    /// resumed trajectory is bit-identical to the uninterrupted one.
+    /// built from the same configs. Packed residency is dropped, so
+    /// the next step re-packs the restored states verbatim and
+    /// re-derives factorizations from them: the resumed trajectory is
+    /// bit-identical to the uninterrupted one.
     ///
     /// # Errors
     ///
@@ -506,9 +476,9 @@ impl Fleet {
         Ok(())
     }
 
-    /// One hash group's step: parallel begin phase, serial
-    /// homogeneity/factorization, parallel refresh+solve+finish — or
-    /// the per-lane fallback while the group's fans disagree.
+    /// One hash group's step: per-server dynamics (fans, failsafe,
+    /// powers, accounting), then one packed solve while the group's
+    /// fans agree — or the per-lane fallback while they disagree.
     fn step_group(
         &mut self,
         g: usize,
@@ -518,101 +488,51 @@ impl Fleet {
     ) -> Result<(), CoreError> {
         let group = &mut self.groups[g];
         let servers = &mut self.servers[group.range.clone()];
-        let count = servers.len();
-        let plan = *group.solver.plan();
-
-        // ---- phase A: per-server dynamics (fans, failsafe, powers,
-        // accounting) — independent per server, sharded when resident.
-        let shard_ranges: Vec<Range<usize>> = match group.lanes.as_ref() {
-            Some(lanes) if lanes.shard_count() > 1 => (0..lanes.shard_count())
-                .map(|i| lanes.shard_range(i))
-                .collect(),
-            _ => std::iter::once(0..count).collect(),
-        };
-        run_sharded(servers, &shard_ranges, |chunk, _| {
-            for server in chunk {
-                server.begin_step_with_inlet(dt, activity, inlet)?;
-            }
-            Ok::<(), PlatformError>(())
-        })?;
+        for server in servers.iter_mut() {
+            server.begin_step_with_inlet(dt, activity, inlet)?;
+        }
         if dt.is_zero() {
             return Ok(());
         }
-
-        // ---- phase B (serial): flow homogeneity + shared
-        // factorization for the whole group.
-        match group
-            .solver
-            .prepare(|i| servers[i].thermal_network(), count, dt)
+        if group.lanes.is_none()
+            && group
+                .solver
+                .flows_homogeneous(|i| servers[i].thermal_network(), servers.len())
         {
-            Ok(kernel) => {
-                if group.lanes.is_none() {
-                    // Flows (re-)converged: state becomes packed-resident.
-                    let states: Vec<ThermalState> =
-                        servers.iter().map(|s| s.thermal_state().clone()).collect();
-                    group.lanes = Some(ShardedLanes::pack(&states, &plan));
-                }
-                let Some(lanes) = group.lanes.as_mut() else {
-                    unreachable!("lanes packed above");
-                };
-                // ---- phase C: refresh + blocked solve + die-slot
-                // sync + finish, one worker per shard.
-                let die_slots = &group.die_slots;
-                let mut shards: Vec<(Range<usize>, _)> = lanes.shards_mut().collect();
-                if shards.len() == 1 {
-                    let (_, shard) = &mut shards[0];
-                    finish_shard(&kernel, shard, servers, die_slots, dt)?;
-                } else {
-                    let results =
-                        thread::scope(|scope| {
-                            let mut handles = Vec::with_capacity(shards.len());
-                            let mut rest = &mut servers[..];
-                            for (range, shard) in &mut shards {
-                                let (chunk, tail) = rest.split_at_mut(range.len());
-                                rest = tail;
-                                let kernel = &kernel;
-                                handles.push(scope.spawn(move || {
-                                    finish_shard(kernel, shard, chunk, die_slots, dt)
-                                }));
-                            }
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                                .collect::<Vec<_>>()
-                        });
-                    for result in results {
-                        result?;
-                    }
-                }
-                Ok(())
-            }
-            Err(ThermalError::MixedBatchSignatures) => {
-                // Per-server fan commands diverged: state returns to
-                // the servers and the group steps through the
-                // mixed-signature per-lane engine (same factorization
-                // cache) until flows re-converge.
-                Self::evict_group(group, servers);
-                {
-                    let mut lanes_vec: Vec<BatchLane<'_>> = servers
-                        .iter_mut()
-                        .map(|server| {
-                            let (net, state) = server.split_thermal();
-                            BatchLane { net, state }
-                        })
-                        .collect();
-                    group
-                        .solver
-                        .lane_solver_mut()
-                        .step(&mut lanes_vec, dt)
-                        .map_err(PlatformError::from)?;
-                }
-                for server in servers.iter_mut() {
-                    server.finish_step(dt)?;
-                }
-                Ok(())
-            }
-            Err(other) => Err(CoreError::from(PlatformError::from(other))),
+            // Flows (re-)converged: state becomes packed-resident.
+            let states: Vec<ThermalState> =
+                servers.iter().map(|s| s.thermal_state().clone()).collect();
+            group.lanes = Some(PackedLanes::pack(&states));
         }
+        if let Some(lanes) = group.lanes.as_mut() {
+            let stepped = group
+                .solver
+                .step_packed(|i| servers[i].thermal_network(), lanes, dt);
+            match stepped {
+                Ok(()) => return finish_packed(lanes, servers, &group.die_slots, dt),
+                // Per-server fan commands diverged: state returns to
+                // the servers until flows re-converge.
+                Err(ThermalError::MixedBatchSignatures) => Self::evict_group(group, servers),
+                Err(other) => return Err(PlatformError::from(other).into()),
+            }
+        }
+        // Per-lane fallback: the mixed-signature engine, sharing the
+        // packed path's factorization cache.
+        let mut lanes: Vec<BatchLane<'_>> = servers
+            .iter_mut()
+            .map(|server| {
+                let (net, state) = server.split_thermal();
+                BatchLane { net, state }
+            })
+            .collect();
+        group
+            .solver
+            .step(&mut lanes, dt)
+            .map_err(PlatformError::from)?;
+        for server in servers.iter_mut() {
+            server.finish_step(dt)?;
+        }
+        Ok(())
     }
 
     /// The current shared inlet temperature.
@@ -665,7 +585,7 @@ impl Fleet {
     /// Every server's hottest die temperature, in original index
     /// order, appended into `out` (cleared first).
     ///
-    /// Reads straight from the packed shard blocks while a group is
+    /// Reads straight from the packed blocks while a group is
     /// resident — no full-state unpack (which [`Fleet::server`] forces)
     /// and no residency eviction (which [`Fleet::server_mut`] costs) —
     /// so rack- and room-level controller loops can poll die
@@ -702,7 +622,7 @@ impl Fleet {
 /// A full fleet snapshot, produced by [`Fleet::checkpoint`]: server
 /// clones (thermal state, fans, faults, accounting, RNG streams) in
 /// original index order, restorable into any fleet built from the same
-/// configs for a bit-identical resume under any thread plan.
+/// configs for a bit-identical resume.
 #[derive(Debug, Clone)]
 pub struct FleetCheckpoint {
     servers: Vec<Server>,
@@ -722,67 +642,41 @@ impl FleetCheckpoint {
     }
 }
 
-/// Runs `work` over each shard's chunk of `items` — inline when there
-/// is a single range, one scoped worker per range otherwise — and
-/// reports the lowest shard's failure (deterministic regardless of
-/// completion order). `work` also receives its chunk's range so
-/// callers can slice per-item side arrays. Shared by the fleet's
-/// per-server phases (sharding servers within a rack) and the room's
-/// rack phase (sharding fleets across racks).
-pub(crate) fn run_sharded<T, E, F>(
-    items: &mut [T],
-    ranges: &[Range<usize>],
-    work: F,
-) -> Result<(), E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(&mut [T], Range<usize>) -> Result<(), E> + Sync,
-{
-    if ranges.len() <= 1 {
-        let full = 0..items.len();
-        return work(items, full);
-    }
-    let results = thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        let mut rest = items;
-        for range in ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            let work = &work;
-            handles.push(scope.spawn(move || work(chunk, range.clone())));
+/// Partitions items by structure hash in first-seen order: returns the
+/// member lists of input *positions*, one list per distinct hash.
+fn group_by_structure_hash(hashes: impl Iterator<Item = u64>) -> Vec<Vec<usize>> {
+    let mut seen: Vec<u64> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (position, hash) in hashes.enumerate() {
+        match seen.iter().position(|&h| h == hash) {
+            Some(g) => groups[g].push(position),
+            None => {
+                seen.push(hash);
+                groups.push(vec![position]);
+            }
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect::<Vec<_>>()
-    });
-    results.into_iter().collect()
+    }
+    groups
 }
 
-/// Phase C for one shard: lane-major source refresh + blocked solve
-/// through the shared factors, then per server the cheap die-slot sync
-/// (full unpack only when this step's telemetry poll reads the state)
-/// and the clock/telemetry finish.
-fn finish_shard(
-    kernel: &StepKernel<'_, leakctl_thermal::AutoBackend>,
-    shard: &mut leakctl_thermal::PackedLanes,
-    chunk: &mut [Server],
+/// After a packed solve: per server, the cheap die-slot sync (full
+/// unpack only when this step's telemetry poll reads the state) and
+/// the clock/telemetry finish.
+fn finish_packed(
+    lanes: &PackedLanes,
+    servers: &mut [Server],
     die_slots: &[usize],
     dt: SimDuration,
-) -> Result<(), PlatformError> {
-    kernel
-        .step_shard(shard, |i| chunk[i].thermal_network())
-        .map_err(PlatformError::from)?;
-    for (i, server) in chunk.iter_mut().enumerate() {
+) -> Result<(), CoreError> {
+    for (i, server) in servers.iter_mut().enumerate() {
         let end = server.now() + dt;
         let poll_due = server.telemetry_poll_pending(end);
         {
             let (_, state) = server.split_thermal();
             if poll_due {
-                shard.unpack_lane_into(i, state);
+                lanes.unpack_lane_into(i, state);
             } else {
-                shard.copy_lane_slots_into(i, die_slots, state);
+                lanes.copy_lane_slots_into(i, die_slots, state);
             }
         }
         server.finish_step(dt)?;
@@ -944,39 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_results_bit_identical_across_thread_and_shard_counts() {
-        // The work partition is a pure performance knob: any thread
-        // count and shard width must reproduce the exact same fleet
-        // trajectory. 33 servers so multi-shard plans actually split.
-        let run = |threads: usize, min_width: usize| {
-            let configs = vec![ServerConfig::default(); 33];
-            let plan = ShardPlan::new(threads).with_min_lanes_per_shard(min_width);
-            let mut fleet = Fleet::with_plan(&configs, 0.001, 21, plan).unwrap();
-            fleet.command_all(Rpm::new(2700.0));
-            let dt = SimDuration::from_secs(1);
-            for step in 0..150 {
-                let act = if step % 40 < 20 {
-                    Utilization::FULL
-                } else {
-                    Utilization::IDLE
-                };
-                fleet.step(dt, act).unwrap();
-            }
-            let telemetry: Vec<_> = (0..33)
-                .map(|i| fleet.server(i).unwrap().measured_cpu_temps())
-                .collect();
-            (fleet.total_energy(), fleet.max_die_temperature(), telemetry)
-        };
-        let reference = run(1, 16);
-        for (threads, width) in [(2, 4), (8, 1), (3, 7)] {
-            let got = run(threads, width);
-            assert_eq!(got.0, reference.0, "energy, threads {threads}");
-            assert_eq!(got.1, reference.1, "die temp, threads {threads}");
-            assert_eq!(got.2, reference.2, "telemetry, threads {threads}");
-        }
-    }
-
-    #[test]
     fn heterogeneous_fleet_batches_within_hash_groups() {
         // A mixed-SKU rack: single-socket and dual-socket servers.
         // Each SKU batches through its own shared factorization and the
@@ -1044,9 +905,9 @@ mod tests {
     #[test]
     fn hetero_group_fan_divergence_falls_back_and_recovers() {
         // Regression: a *non-first* hash group whose fans diverge while
-        // packed-resident must evict cleanly (sub-slice coordinates)
-        // and keep stepping bit-identically through the per-lane
-        // fallback.
+        // packed-resident must evict cleanly (sub-slice coordinates),
+        // keep stepping bit-identically through the per-lane fallback,
+        // and re-pack bit-identically once the fans agree again.
         let one_socket = ServerConfig {
             sockets: 1,
             process_sigma: vec![1.0],
@@ -1107,18 +968,44 @@ mod tests {
                 server.step(dt, Utilization::FULL).unwrap();
             }
         }
-        for (i, b) in reference.iter().enumerate() {
-            let a = fleet.server(i).unwrap();
-            assert_eq!(
-                a.max_die_temperature(),
-                b.max_die_temperature(),
-                "server {i} die temperature"
-            );
-            assert_eq!(a.total_energy(), b.total_energy(), "server {i} energy");
-        }
+        let assert_tracks = |fleet: &mut Fleet, reference: &[Server], leg: &str| {
+            for (i, b) in reference.iter().enumerate() {
+                let a = fleet.server(i).unwrap();
+                assert_eq!(
+                    a.max_die_temperature(),
+                    b.max_die_temperature(),
+                    "{leg}: server {i} die temperature"
+                );
+                assert_eq!(
+                    a.total_energy(),
+                    b.total_energy(),
+                    "{leg}: server {i} energy"
+                );
+            }
+        };
+        assert_tracks(&mut fleet, &reference, "diverged");
         let hot = fleet.server(1).unwrap().max_die_temperature();
         let cold = fleet.server(3).unwrap().max_die_temperature();
         assert!(hot.degrees() - cold.degrees() > 10.0, "fans diverged");
+
+        // Bring every fan back to 3000 RPM: the group re-packs once the
+        // flows agree, and stays bit-identical to the scalar loop.
+        fleet.command_all(Rpm::new(3000.0));
+        for server in &mut reference {
+            server.command_fan_speed(Rpm::new(3000.0));
+        }
+        for _ in 0..600 {
+            fleet.step(dt, Utilization::FULL).unwrap();
+            for server in &mut reference {
+                server.set_ambient(room).unwrap();
+                server.step(dt, Utilization::FULL).unwrap();
+            }
+        }
+        assert_tracks(&mut fleet, &reference, "re-converged");
+        assert!(
+            fleet.groups.iter().all(|g| g.lanes.is_some()),
+            "both groups packed-resident again"
+        );
     }
 
     #[test]
@@ -1280,8 +1167,8 @@ mod tests {
         }
         let want = fingerprint(&mut reference);
 
-        // Checkpoint mid-run (with a fan fault in flight), restore into
-        // a *fresh* fleet under a different thread plan, continue.
+        // Checkpoint mid-run, restore into a *fresh* fleet built with a
+        // different seed, continue.
         let mut live = Fleet::from_configs(&configs, 0.001, 37).unwrap();
         live.command_all(Rpm::new(2400.0));
         for step in 0..100 {
@@ -1296,8 +1183,7 @@ mod tests {
         }
         assert_eq!(fingerprint(&mut live), want, "checkpoint perturbed the run");
 
-        let plan = ShardPlan::new(4).with_min_lanes_per_shard(1);
-        let mut restored = Fleet::with_plan(&configs, 0.001, 99, plan).unwrap();
+        let mut restored = Fleet::from_configs(&configs, 0.001, 99).unwrap();
         restored.restore(&snap).unwrap();
         for step in 100..200 {
             restored.step(dt, schedule(step)).unwrap();

@@ -15,10 +15,10 @@
 //!    backward-Euler solver (sparse CSR once the room is large enough).
 //! 2. **Rack phase (parallel).** Each rack reads its cold-aisle
 //!    temperature as the inlet boundary and its [`Fleet`] advances by
-//!    `dt` — racks are sharded across scoped workers exactly like
-//!    [`ShardedBatchSolver`](leakctl_thermal::ShardedBatchSolver)
-//!    shards lanes within one rack, and since racks only interact
-//!    through the (serial) air phase, the room trajectory is
+//!    `dt` — racks are sharded across scoped workers by
+//!    `run_sharded`, the library's one spawn site, each rack stepping
+//!    as one packed block on its worker. Racks only interact through
+//!    the (serial) air phase, so the room trajectory is
 //!    **bit-identical for any thread count** (`LEAKCTL_THREADS`).
 //!
 //! CRAH cooling work is accounted through a chilled-water COP model
@@ -27,6 +27,9 @@
 //! raising the supply set-point trades leakage against cooling energy —
 //! the room-scale version of the paper's Fig. 3 trade-off.
 
+use std::ops::Range;
+use std::thread;
+
 use leakctl_platform::{FanFault, ServerConfig};
 use leakctl_thermal::{RoomAirModel, RoomAirSpec, ShardPlan};
 use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, Utilization, Watts};
@@ -34,7 +37,7 @@ use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, Utilization, Wat
 use crate::control::{ControlAction, RoomController, RoomObservation, SupplyPreview};
 use crate::drive::{Driver, Stages};
 use crate::error::{CoreError, PlacementError, RoomError};
-use crate::fleet::{run_sharded, Fleet, FleetCheckpoint};
+use crate::fleet::{Fleet, FleetCheckpoint};
 use crate::schedule::PlacementAction;
 
 /// Scenario builder for a [`Room`]: floor-grid geometry, CRAH
@@ -316,19 +319,13 @@ impl Room {
         config.validate()?;
         let racks = config.racks();
         let spr = config.servers_per_rack;
-        // Each rack is a whole shard's worth of work: shard down to
-        // single racks. Within-rack sharding is disabled (plan of 1) —
-        // the room parallelizes across racks instead, and fleet
-        // trajectories are plan-independent, so this only moves work.
-        let plan = plan.with_min_lanes_per_shard(1);
         let rack_configs = vec![config.server.clone(); spr];
         let fleets = (0..racks)
             .map(|r| {
-                Fleet::with_plan(
+                Fleet::from_configs(
                     &rack_configs,
                     0.0,
                     config.seed.wrapping_add((r * spr) as u64),
-                    ShardPlan::new(1),
                 )
             })
             .collect::<Result<Vec<Fleet>, CoreError>>()?;
@@ -527,9 +524,9 @@ impl Room {
     /// Snapshots the full room — every rack's fleet (thermal state,
     /// fan banks with injected faults, service processors, sensor RNG
     /// streams), the air-side network with its boundary conditions and
-    /// fault state, and the energy/time accounting. Packed shard
-    /// blocks are synced first, so the snapshot is exact for any
-    /// residency or thread plan.
+    /// fault state, and the energy/time accounting. Packed blocks are
+    /// synced first, so the snapshot is exact for any residency or
+    /// thread plan.
     pub fn checkpoint(&mut self) -> RoomCheckpoint {
         RoomCheckpoint {
             fleets: self.fleets.iter_mut().map(Fleet::checkpoint).collect(),
@@ -681,7 +678,7 @@ impl Room {
     /// Fills `obs` with a read-only room snapshot — allocation-free
     /// once the snapshot's vectors have reached capacity, and `&self`
     /// throughout (die temperatures come straight from the packed
-    /// shard blocks), so telemetry pollers never contend for
+    /// blocks), so telemetry pollers never contend for
     /// `&mut Room`.
     pub fn observe_into(&self, obs: &mut RoomObservation) {
         let supply = self.air.supply_temperature();
@@ -1087,7 +1084,7 @@ impl Room {
     /// Every rack's hottest die temperature, appended into `out`
     /// (cleared first) — the controller-loop read path: like
     /// [`Fleet::die_temps_view`] it reads straight from the packed
-    /// shard blocks, with no state unpacks and no residency eviction.
+    /// blocks, with no state unpacks and no residency eviction.
     pub fn rack_max_die_temperatures(&self, out: &mut Vec<Celsius>) {
         out.clear();
         out.extend(self.fleets.iter().map(Fleet::max_die_temperature));
@@ -1196,6 +1193,48 @@ impl SupplyPreview for RoomSupplyPreview<'_> {
             .preview_supply(supply, cold_aisles)
             .map_err(|e| CoreError::Platform(e.into()))
     }
+}
+
+/// Runs `work` over each shard's chunk of `items` — inline when there
+/// is a single range, one scoped worker per range otherwise — and
+/// reports the lowest shard's failure (deterministic regardless of
+/// completion order). `work` also receives its chunk's range so
+/// callers can slice per-item side arrays.
+///
+/// The library's one spawn site (a `clippy.toml` lint keeps it so):
+/// the room's rack phase shards fleets across racks and the building's
+/// room phase shards rooms; everything below a rack runs on its
+/// worker's thread.
+#[allow(clippy::disallowed_methods)]
+pub(crate) fn run_sharded<T, E, F>(
+    items: &mut [T],
+    ranges: &[Range<usize>],
+    work: F,
+) -> Result<(), E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(&mut [T], Range<usize>) -> Result<(), E> + Sync,
+{
+    if ranges.len() <= 1 {
+        let full = 0..items.len();
+        return work(items, full);
+    }
+    let results = thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(ranges.len());
+        let mut rest = items;
+        for range in ranges {
+            let (chunk, tail) = rest.split_at_mut(range.len());
+            rest = tail;
+            let work = &work;
+            handles.push(scope.spawn(move || work(chunk, range.clone())));
+        }
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect::<Vec<_>>()
+    });
+    results.into_iter().collect()
 }
 
 #[cfg(test)]

@@ -12,9 +12,7 @@
 //! - [`TimeSeries`] — an append-only timestamped series with summary
 //!   statistics and windowed queries,
 //! - [`Csth`] — the harness: named channels with units, a fixed polling
-//!   period, CSV export/import,
-//! - [`VibrationTach`] — the fan-speed verification path (the paper
-//!   validated RPM settings with high-accuracy vibration sensors).
+//!   period, CSV export/import.
 //!
 //! # Example
 //!
@@ -38,13 +36,11 @@ mod csv;
 mod harness;
 mod sensor;
 mod series;
-mod vibration;
 
 pub use csv::CsvError;
 pub use harness::{ChannelId, Csth, TelemetryError};
 pub use sensor::{Sensor, SensorSpec};
 pub use series::TimeSeries;
-pub use vibration::VibrationTach;
 
 use leakctl_units::SimDuration;
 

@@ -28,8 +28,6 @@
 //! integrators have no factorization to share; step those lanes
 //! individually.
 
-use std::borrow::Borrow;
-
 use leakctl_units::SimDuration;
 
 use crate::backend::{AutoBackend, SolverBackend};
@@ -97,14 +95,7 @@ pub struct PackedLanes {
     // scalar solver).
     cond_keys: Vec<Option<(u64, u64)>>,
     power_keys: Vec<Option<u64>>,
-    /// Flow generation seen per lane at the last signature check; any
-    /// change forces a homogeneity recheck.
-    flow_gens: Vec<u64>,
-    /// `true` while every lane is known to share the reference flow
-    /// signature.
-    homogeneous: bool,
-    // Per-shard solve workspaces (each packed block owns its own, so
-    // shards solve concurrently without touching the solver).
+    // Solve workspaces.
     rhs: Vec<f64>,
     acc: Vec<f64>,
 }
@@ -141,8 +132,6 @@ impl PackedLanes {
             slot_map_key: None,
             cond_keys: vec![None; batch],
             power_keys: vec![None; batch],
-            flow_gens: vec![0; batch],
-            homogeneous: false,
             rhs: vec![0.0; n * batch],
             acc: vec![0.0; batch],
         }
@@ -225,8 +214,6 @@ impl PackedLanes {
 
     /// Refreshes the packed source block from each lane's network,
     /// change-driven on the networks' invalidation generations.
-    /// Returns `true` when any lane's flow generation moved (the caller
-    /// must then recheck flow homogeneity).
     ///
     /// A stale lane assembles into its contiguous *lane-major* staging
     /// slice; afterwards the dirty columns of the slot-major `s` block
@@ -241,7 +228,7 @@ impl PackedLanes {
     ///
     /// Panics when a lane's network does not match `structure_hash` or
     /// the packed dimension.
-    pub(crate) fn refresh_sources<'n, F>(&mut self, net_of: F, structure_hash: u64) -> bool
+    fn refresh_sources<'n, F>(&mut self, net_of: F, structure_hash: u64)
     where
         F: Fn(usize) -> &'n ThermalNetwork,
     {
@@ -252,7 +239,6 @@ impl PackedLanes {
             self.slot_map.extend_from_slice(net_of(0).slot_to_node());
             self.slot_map_key = Some(structure_hash);
         }
-        let mut flows_moved = false;
         let mut dirty_count = 0usize;
         for lane in 0..batch {
             let net = net_of(lane);
@@ -262,12 +248,7 @@ impl PackedLanes {
                 "lane network is not structurally identical to the batch template"
             );
             assert_eq!(net.state_count(), n, "lane network dimension");
-            let flow_gen = net.flow_generation();
-            if self.flow_gens[lane] != flow_gen {
-                self.flow_gens[lane] = flow_gen;
-                flows_moved = true;
-            }
-            let cond_key = (flow_gen, net.boundary_generation());
+            let cond_key = (net.flow_generation(), net.boundary_generation());
             let power_key = net.power_generation();
             let mut stale = false;
             if self.cond_keys[lane] != Some(cond_key) {
@@ -292,7 +273,7 @@ impl PackedLanes {
             }
         }
         if dirty_count == 0 && self.s_valid {
-            return flows_moved;
+            return;
         }
         if dirty_count * 2 >= batch {
             // Dense refresh (the dynamic fleet regime: most lanes
@@ -327,7 +308,6 @@ impl PackedLanes {
             }
         }
         self.dirty[..batch].fill(false);
-        flows_moved
     }
 
     /// Builds the backward-Euler right-hand side `C·T + h·s` for every
@@ -341,7 +321,7 @@ impl PackedLanes {
     /// Returns [`ThermalError::SingularSystem`] when the backend holds
     /// no valid factors and [`ThermalError::Diverged`] (named through
     /// `net_of`) on a non-finite result.
-    pub(crate) fn solve_be_block<'n, B, F>(
+    fn solve_be_block<'n, B, F>(
         &mut self,
         backend: &B,
         c: &[f64],
@@ -508,6 +488,12 @@ pub struct BatchSolver<B: SolverBackend = AutoBackend> {
     /// Sticky shared-group assignment for the packed fast path:
     /// `(group index, groups_epoch, h_bits, lane-0 flow generation)`.
     packed_group: Option<(usize, u64, u64, u64)>,
+    /// Flow generation seen per lane at the last homogeneity check;
+    /// any change forces a recheck.
+    flow_gens: Vec<u64>,
+    /// `true` while every lane is known to share lane 0's flow
+    /// signature.
+    homogeneous: bool,
     // ---- reusable workspaces ---------------------------------------
     sig_scratch: Vec<u64>,
     s_bound_scratch: Vec<f64>,
@@ -550,6 +536,8 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
             step_counter: 0,
             groups_epoch: 0,
             packed_group: None,
+            flow_gens: Vec::new(),
+            homogeneous: false,
             sig_scratch: Vec::new(),
             s_bound_scratch: vec![0.0; n],
             rhs_block: Vec::new(),
@@ -751,70 +739,81 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
     /// backward-Euler method through one shared factorization — the
     /// homogeneous-flow fast path.
     ///
-    /// `nets[lane]` provides each lane's inputs (powers, boundary
-    /// temperatures, generations); all lanes must currently hold the
-    /// same flow values (identical fan commands — the common fleet
-    /// regime). Temperatures advance inside `packed`'s slot-major
-    /// block, so the whole step — right-hand-side build, blocked
-    /// substitution, divergence check — runs over contiguous memory
-    /// with no per-lane gather/scatter. Results are bit-identical to
-    /// [`BatchSolver::step`] on the same inputs.
+    /// `net_of(lane)` provides each lane's inputs (powers, boundary
+    /// temperatures, generations) — a slice index, or a fleet's
+    /// servers. All lanes must currently hold the same flow values
+    /// (identical fan commands — the common fleet regime; see
+    /// [`BatchSolver::flows_homogeneous`]). Temperatures advance inside
+    /// `packed`'s slot-major block, so the whole step — right-hand-side
+    /// build, blocked substitution, divergence check — runs over
+    /// contiguous memory with no per-lane gather/scatter. Results are
+    /// bit-identical to [`BatchSolver::step`] on the same inputs.
     ///
     /// # Errors
     ///
     /// Returns [`ThermalError::MixedBatchSignatures`] when lane flows
-    /// have diverged (step such fleets through the per-lane API),
+    /// have diverged (step such fleets through the per-lane API;
+    /// `packed` is left untouched),
     /// [`ThermalError::SingularSystem`] when the factorization fails
     /// and [`ThermalError::Diverged`] on a non-finite temperature.
     ///
     /// # Panics
     ///
-    /// Panics when `nets` does not match the packed batch shape or a
-    /// network is not structurally identical to the template.
-    pub fn step_packed<N: Borrow<ThermalNetwork>>(
+    /// Panics when `packed` does not match the template's dimension or
+    /// a network is not structurally identical to the template.
+    pub fn step_packed<'n, F>(
         &mut self,
-        nets: &[N],
+        net_of: F,
         packed: &mut PackedLanes,
         dt: SimDuration,
-    ) -> Result<(), ThermalError> {
-        if dt.is_zero() || nets.is_empty() {
+    ) -> Result<(), ThermalError>
+    where
+        F: Fn(usize) -> &'n ThermalNetwork,
+    {
+        if dt.is_zero() {
             return Ok(());
         }
-        let n = self.n;
-        let batch = packed.batch;
-        assert_eq!(
-            nets.len(),
-            batch,
-            "network count must match the packed batch"
-        );
-        assert_eq!(packed.n, n, "packed dimension must match the template");
-        let h = dt.as_secs_f64();
-
-        // ---- per-lane source refresh (lane-major, change-driven) ----
-        let flows_moved = packed.refresh_sources(|lane| nets[lane].borrow(), self.structure_hash);
-
-        // ---- homogeneity + shared factorization ---------------------
-        if flows_moved || !packed.homogeneous {
-            if !self.flows_homogeneous(|lane| nets[lane].borrow(), batch) {
-                packed.homogeneous = false;
-                return Err(ThermalError::MixedBatchSignatures);
-            }
-            packed.homogeneous = true;
-            self.packed_group = None;
+        assert_eq!(packed.n, self.n, "packed dimension must match the template");
+        if !self.flows_homogeneous(&net_of, packed.batch) {
+            return Err(ThermalError::MixedBatchSignatures);
         }
-        let group_idx = self.ensure_shared_group(nets[0].borrow(), h)?;
-
-        // ---- contiguous rhs build + blocked solve -------------------
-        packed.solve_be_block(&self.groups[group_idx].backend, &self.c, h, |lane| {
-            nets[lane].borrow()
-        })
+        let h = dt.as_secs_f64();
+        let group_idx = self.ensure_shared_group(net_of(0), h)?;
+        packed.refresh_sources(&net_of, self.structure_hash);
+        packed.solve_be_block(&self.groups[group_idx].backend, &self.c, h, &net_of)
     }
 
     /// `true` when the first `count` lanes all carry the same flow
-    /// values (the shared-factorization precondition of the packed
-    /// paths). A network with no flow channels has an empty signature:
-    /// trivially homogeneous.
-    pub(crate) fn flows_homogeneous<'n, F>(&mut self, net_of: F, count: usize) -> bool
+    /// values — the shared-factorization precondition of
+    /// [`BatchSolver::step_packed`]. Change-driven: the signatures are
+    /// compared only when some lane's flow generation moved since the
+    /// last call, or while the lanes are known to disagree. A network
+    /// with no flow channels has an empty signature: trivially
+    /// homogeneous.
+    pub fn flows_homogeneous<'n, F>(&mut self, net_of: F, count: usize) -> bool
+    where
+        F: Fn(usize) -> &'n ThermalNetwork,
+    {
+        if self.flow_gens.len() != count {
+            self.flow_gens.clear();
+            self.flow_gens.resize(count, 0);
+            self.homogeneous = false;
+        }
+        let mut moved = false;
+        for (lane, seen) in self.flow_gens.iter_mut().enumerate() {
+            let gen = net_of(lane).flow_generation();
+            moved |= *seen != gen;
+            *seen = gen;
+        }
+        if moved || !self.homogeneous {
+            self.homogeneous = count == 0 || self.signatures_agree(&net_of, count);
+            self.packed_group = None;
+        }
+        self.homogeneous
+    }
+
+    /// Compares every lane's flow signature against lane 0's.
+    fn signatures_agree<'n, F>(&mut self, net_of: F, count: usize) -> bool
     where
         F: Fn(usize) -> &'n ThermalNetwork,
     {
@@ -842,7 +841,7 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
     ///
     /// Returns [`ThermalError::SingularSystem`] when the factorization
     /// fails.
-    pub(crate) fn ensure_shared_group(
+    fn ensure_shared_group(
         &mut self,
         representative: &ThermalNetwork,
         h: f64,
@@ -890,25 +889,6 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
         };
         self.groups[group_idx].last_used = self.step_counter;
         Ok(group_idx)
-    }
-
-    /// The backend (with its cached `(C + h·G)` factors) behind a group
-    /// index from [`Self::ensure_shared_group`] — read-only, so shard
-    /// workers can solve through it concurrently.
-    pub(crate) fn group_backend(&self, idx: usize) -> &B {
-        &self.groups[idx].backend
-    }
-
-    /// The per-slot capacitances of the template topology.
-    pub(crate) fn capacitances(&self) -> &[f64] {
-        &self.c
-    }
-
-    /// The template's structural fingerprint
-    /// ([`ThermalNetwork::structure_hash`]); every lane must match it.
-    #[must_use]
-    pub fn template_structure_hash(&self) -> u64 {
-        self.structure_hash
     }
 
     /// Creates (or recycles, past [`MAX_GROUPS`]) a group: clones the
@@ -1173,7 +1153,9 @@ mod tests {
                 .map(|(net, state)| BatchLane { net, state })
                 .collect();
             lane_solver.step(&mut lanes, dt).unwrap();
-            packed_solver.step_packed(&nets, &mut packed, dt).unwrap();
+            packed_solver
+                .step_packed(|lane| &nets[lane], &mut packed, dt)
+                .unwrap();
         }
         let mut unpacked: Vec<_> = nets
             .iter()
@@ -1218,10 +1200,10 @@ mod tests {
         ];
         let mut packed = PackedLanes::pack(&states);
         let mut solver = BatchSolver::new(&a);
-        let nets = vec![a, b];
+        let nets = [a, b];
         for _ in 0..600 {
             solver
-                .step_packed(&nets, &mut packed, SimDuration::from_secs(1))
+                .step_packed(|lane| &nets[lane], &mut packed, SimDuration::from_secs(1))
                 .unwrap();
         }
         // Powered lane heads to 74 °C, unpowered stays ambient.
@@ -1230,7 +1212,7 @@ mod tests {
 
     #[test]
     fn packed_path_rejects_diverged_flows() {
-        let (net_a, _, _, _) = build_instance();
+        let (net_a, die_a, _, _) = build_instance();
         let (mut net_b, _, _, ch_b) = build_instance();
         net_b.set_flow(ch_b, AirFlow::from_cfm(500.0)).unwrap();
         let states = [
@@ -1239,11 +1221,74 @@ mod tests {
         ];
         let mut packed = PackedLanes::pack(&states);
         let mut solver = BatchSolver::new(&net_a);
-        let nets = vec![net_a, net_b];
+        let mut nets = [net_a, net_b];
+        let dt = SimDuration::from_secs(1);
         assert_eq!(
-            solver.step_packed(&nets, &mut packed, SimDuration::from_secs(1)),
+            solver.step_packed(|lane| &nets[lane], &mut packed, dt),
             Err(ThermalError::MixedBatchSignatures)
         );
+        assert!(!solver.flows_homogeneous(|lane| &nets[lane], 2));
+        assert_eq!(packed.max_temperature(), 24.0, "rejected step is a no-op");
+
+        // Re-converge: stepping resumes, and the packed lanes track a
+        // scalar solver bit-for-bit from the recovery on.
+        nets[1].set_flow(ch_b, AirFlow::from_cfm(250.0)).unwrap();
+        nets[0].set_power(die_a, Watts::new(90.0)).unwrap();
+        assert!(solver.flows_homogeneous(|lane| &nets[lane], 2));
+        let mut scalar = TransientSolver::new(&nets[0]);
+        let mut state = nets[0].uniform_state(Celsius::new(24.0));
+        for _ in 0..60 {
+            solver
+                .step_packed(|lane| &nets[lane], &mut packed, dt)
+                .unwrap();
+            scalar
+                .step(&nets[0], &mut state, dt, Integrator::BackwardEuler)
+                .unwrap();
+        }
+        for (slot, t) in state.temps.iter().enumerate() {
+            assert_eq!(packed.lane_temperature(0, slot).to_bits(), t.to_bits());
+        }
+        assert_eq!(solver.group_count(), 1);
+    }
+
+    #[test]
+    fn packed_lane_accessors_agree_with_unpack() {
+        let mut nets = Vec::new();
+        for i in 0..9 {
+            let (mut net, die, _, _) = build_instance();
+            net.set_power(die, Watts::new(40.0 + 3.0 * i as f64))
+                .unwrap();
+            nets.push(net);
+        }
+        let states: Vec<_> = nets
+            .iter()
+            .map(|n| n.uniform_state(Celsius::new(24.0)))
+            .collect();
+        let mut solver = BatchSolver::new(&nets[0]);
+        let mut packed = PackedLanes::pack(&states);
+        for _ in 0..50 {
+            solver
+                .step_packed(|lane| &nets[lane], &mut packed, SimDuration::from_secs(1))
+                .unwrap();
+        }
+        let mut unpacked: Vec<_> = nets
+            .iter()
+            .map(|n| n.uniform_state(Celsius::new(0.0)))
+            .collect();
+        packed.unpack_into(&mut unpacked);
+        let n = nets[0].state_count();
+        for (lane, state) in unpacked.iter().enumerate() {
+            let mut single = nets[lane].uniform_state(Celsius::new(0.0));
+            packed.unpack_lane_into(lane, &mut single);
+            assert_eq!(state, &single);
+            for slot in 0..n {
+                assert_eq!(packed.lane_temperature(lane, slot), state.temps[slot]);
+            }
+            let mut partial = nets[lane].uniform_state(Celsius::new(-1.0));
+            packed.copy_lane_slots_into(lane, &[0, n - 1], &mut partial);
+            assert_eq!(partial.temps[0], state.temps[0]);
+            assert_eq!(partial.temps[n - 1], state.temps[n - 1]);
+        }
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! backward-Euler method. Steady states solve directly through the
 //! bundled dense [`linalg`] module.
 //!
+//! A rack of identical-topology networks batches through
+//! [`BatchSolver`]: one shared backward-Euler factorization per
+//! `(dt, flow)` signature, with [`PackedLanes`] holding the whole batch
+//! as one slot-major block. This crate spawns no threads; [`ShardPlan`]
+//! only describes how the layer above splits independent racks or
+//! rooms across workers.
+//!
 //! # Example
 //!
 //! ```
@@ -72,10 +79,7 @@ pub use network::{
 };
 pub use plant::{ChilledWaterLoop, ChilledWaterSpec};
 pub use room::{RoomAirModel, RoomAirSpec};
-pub use shard::{
-    group_by_structure_hash, HeteroBatch, ShardPlan, ShardedBatchSolver, ShardedLanes, StepKernel,
-    THREADS_ENV,
-};
+pub use shard::{ShardPlan, THREADS_ENV};
 pub use solver::Integrator;
 pub use stepper::TransientSolver;
 

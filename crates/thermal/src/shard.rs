@@ -1,44 +1,21 @@
-//! Thread-sharded stepping of packed lane blocks, and hash-grouped
-//! batching of heterogeneous (mixed-topology) fleets.
+//! The deterministic work partition behind the parallel runtime.
 //!
-//! After the shared `(C + h·G)` factorization, packed lanes are
-//! completely independent: the blocked substitution carries one
-//! accumulator per lane and never mixes columns. A batch can therefore
-//! be *split into per-shard slot-major blocks* and stepped on as many
-//! threads as the machine offers with **bit-identical** results for any
-//! thread or shard count — [`ShardPlan`] picks the deterministic
-//! contiguous partition, [`ShardedLanes`] owns one
-//! [`PackedLanes`] block per shard, and [`ShardedBatchSolver`] runs the
-//! per-step pipeline:
+//! The simulator parallelizes only across independent units of work —
+//! the racks of a room, the rooms of a building — which interact solely
+//! through a serial phase between parallel ones. [`ShardPlan`] decides
+//! how many workers there are and which contiguous run of units each
+//! one takes; the workers themselves are spawned by the one spawn site
+//! in `leakctl-core`. This crate spawns no threads: within a rack, a
+//! hash group of servers steps as one packed block through
+//! [`BatchSolver::step_packed`](crate::BatchSolver::step_packed) on the
+//! calling thread.
 //!
-//! 1. *serial*: flow-homogeneity check and shared factorization
-//!    (cheap, change-driven — sticky across constant-flow stretches);
-//! 2. *parallel* ([`std::thread::scope`], no pool state to manage):
-//!    each shard refreshes its lane-major source staging, builds its
-//!    right-hand-side block and back-substitutes through the shared
-//!    read-only factors.
-//!
-//! Thread count comes from [`ShardPlan::from_env`]
-//! (`LEAKCTL_THREADS`, else the machine's available parallelism), and
-//! small batches stay single-shard — and therefore inline, with zero
-//! spawn overhead — via a minimum shard width.
-//!
-//! [`HeteroBatch`] lifts the identical-topology restriction: lanes are
-//! partitioned by [`ThermalNetwork::structure_hash`] into per-SKU
-//! groups, each batching through its own sharded solver, so a room of
-//! mixed server SKUs still shares one factorization per (SKU, dt,
-//! flow) instead of falling back to scalar stepping.
+//! The partition is a pure function of the plan and the unit count, and
+//! units never share state inside a parallel phase, so trajectories are
+//! bit-identical for any thread count.
 
-use std::borrow::Borrow;
 use std::ops::Range;
 use std::thread;
-
-use leakctl_units::SimDuration;
-
-use crate::backend::{AutoBackend, SolverBackend};
-use crate::batch::{BatchSolver, PackedLanes};
-use crate::error::ThermalError;
-use crate::network::{ThermalNetwork, ThermalState};
 
 /// Environment variable overriding the worker thread count used by
 /// [`ShardPlan::from_env`]. `LEAKCTL_THREADS=1` forces fully inline
@@ -48,32 +25,24 @@ pub const THREADS_ENV: &str = "LEAKCTL_THREADS";
 /// Hard ceiling on worker threads (a plan never exceeds it).
 const MAX_THREADS: usize = 64;
 
-/// Default minimum lanes per shard: batches smaller than
-/// `2 × DEFAULT_MIN_LANES_PER_SHARD` stay single-shard, so small fleets
-/// (and every unit test) never pay thread-spawn overhead.
-const DEFAULT_MIN_LANES_PER_SHARD: usize = 16;
-
 /// Deterministic work partition: how many worker threads to use and
-/// how finely to shard a batch across them.
+/// which contiguous run of units (racks, rooms) each one takes.
 ///
-/// The partition for a given lane count is a pure function of the plan
+/// The partition for a given unit count is a pure function of the plan
 /// — contiguous ranges, sizes differing by at most one — and the
 /// stepped results are bit-identical for *any* plan, so the plan is
 /// purely a performance knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     threads: usize,
-    min_lanes_per_shard: usize,
 }
 
 impl ShardPlan {
-    /// A plan over `threads` workers (clamped to `1..=64`) with the
-    /// default minimum shard width.
+    /// A plan over `threads` workers (clamped to `1..=64`).
     #[must_use]
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.clamp(1, MAX_THREADS),
-            min_lanes_per_shard: DEFAULT_MIN_LANES_PER_SHARD,
         }
     }
 
@@ -92,42 +61,29 @@ impl ShardPlan {
         Self::new(threads)
     }
 
-    /// Overrides the minimum lanes per shard (floored at 1) — mainly
-    /// for tests that want many tiny shards, and for huge-node
-    /// topologies where even narrow shards carry enough work.
-    #[must_use]
-    pub fn with_min_lanes_per_shard(mut self, min: usize) -> Self {
-        self.min_lanes_per_shard = min.max(1);
-        self
-    }
-
     /// The worker thread count.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Number of shards a batch of `lanes` splits into: at most
-    /// `threads`, and wide enough that no shard is narrower than the
-    /// minimum width (a batch below twice the minimum stays whole).
+    /// Number of shards `units` split into: one per worker, and never
+    /// more shards than units.
     #[must_use]
-    pub fn shard_count(&self, lanes: usize) -> usize {
-        if lanes == 0 {
-            return 0;
-        }
-        self.threads.min((lanes / self.min_lanes_per_shard).max(1))
+    pub fn shard_count(&self, units: usize) -> usize {
+        self.threads.min(units)
     }
 
-    /// The deterministic contiguous lane ranges of each shard: sizes
+    /// The deterministic contiguous unit ranges of each shard: sizes
     /// differ by at most one, earlier shards take the remainder.
     #[must_use]
-    pub fn ranges(&self, lanes: usize) -> Vec<Range<usize>> {
-        let shards = self.shard_count(lanes);
+    pub fn ranges(&self, units: usize) -> Vec<Range<usize>> {
+        let shards = self.shard_count(units);
         let mut out = Vec::with_capacity(shards);
         if shards == 0 {
             return out;
         }
-        let (base, rem) = (lanes / shards, lanes % shards);
+        let (base, rem) = (units / shards, units % shards);
         let mut start = 0;
         for i in 0..shards {
             let size = base + usize::from(i < rem);
@@ -144,664 +100,19 @@ impl Default for ShardPlan {
     }
 }
 
-/// A batch of lane states split into per-shard slot-major
-/// [`PackedLanes`] blocks, per a [`ShardPlan`].
-///
-/// Pack once, step many times through a [`ShardedBatchSolver`], and
-/// unpack (whole states, single lanes, or just a few slots) whenever a
-/// consumer needs per-lane [`ThermalState`]s again.
-#[derive(Debug, Clone)]
-pub struct ShardedLanes {
-    n: usize,
-    total: usize,
-    /// Lane offset of each shard (parallel to `shards`).
-    starts: Vec<usize>,
-    shards: Vec<PackedLanes>,
-}
-
-impl ShardedLanes {
-    /// Packs per-lane states into the plan's per-shard blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `states` is empty or disagrees in dimension.
-    #[must_use]
-    pub fn pack(states: &[ThermalState], plan: &ShardPlan) -> Self {
-        assert!(!states.is_empty(), "sharded batch needs at least one lane");
-        let n = states[0].len();
-        let ranges = plan.ranges(states.len());
-        let mut starts = Vec::with_capacity(ranges.len());
-        let mut shards = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            starts.push(range.start);
-            shards.push(PackedLanes::pack(&states[range]));
-        }
-        Self {
-            n,
-            total: states.len(),
-            starts,
-            shards,
-        }
-    }
-
-    /// Total lane count across all shards.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.total
-    }
-
-    /// State dimension per lane.
-    #[must_use]
-    pub fn dimension(&self) -> usize {
-        self.n
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The contiguous lane range of shard `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    #[must_use]
-    pub fn shard_range(&self, i: usize) -> Range<usize> {
-        self.starts[i]..self.starts[i] + self.shards[i].batch()
-    }
-
-    /// Locates a lane: `(shard index, offset within the shard)`.
-    fn locate(&self, lane: usize) -> (usize, usize) {
-        assert!(lane < self.total, "lane out of range");
-        let shard = self.starts.partition_point(|&s| s <= lane) - 1;
-        (shard, lane - self.starts[shard])
-    }
-
-    /// Writes every lane's packed temperatures back into `states`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `states` does not match the packed shape.
-    pub fn unpack_into(&self, states: &mut [ThermalState]) {
-        assert_eq!(states.len(), self.total, "state count must match lanes");
-        for (shard, &start) in self.shards.iter().zip(&self.starts) {
-            shard.unpack_into(&mut states[start..start + shard.batch()]);
-        }
-    }
-
-    /// Writes one lane's packed temperatures back into `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is out of range or `state` has the wrong
-    /// dimension.
-    pub fn unpack_lane_into(&self, lane: usize, state: &mut ThermalState) {
-        let (shard, offset) = self.locate(lane);
-        self.shards[shard].unpack_lane_into(offset, state);
-    }
-
-    /// Copies only the given state slots of one lane into `state` —
-    /// the cheap per-step sync for the few slots per-server dynamics
-    /// read (CPU dies), deferring full unpacks to telemetry
-    /// boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` or a slot is out of range.
-    pub fn copy_lane_slots_into(&self, lane: usize, slots: &[usize], state: &mut ThermalState) {
-        let (shard, offset) = self.locate(lane);
-        self.shards[shard].copy_lane_slots_into(offset, slots, state);
-    }
-
-    /// One packed temperature, `(lane, slot)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` or `slot` is out of range.
-    #[must_use]
-    pub fn lane_temperature(&self, lane: usize, slot: usize) -> f64 {
-        let (shard, offset) = self.locate(lane);
-        self.shards[shard].lane_temperature(offset, slot)
-    }
-
-    /// The hottest packed temperature across all lanes.
-    #[must_use]
-    pub fn max_temperature(&self) -> f64 {
-        self.shards
-            .iter()
-            .map(PackedLanes::max_temperature)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Iterates the per-shard blocks with their lane ranges — for
-    /// external fleet engines that fuse their own per-lane work (server
-    /// dynamics, telemetry) with [`StepKernel::step_shard`] inside one
-    /// parallel region.
-    pub fn shards_mut(&mut self) -> impl Iterator<Item = (Range<usize>, &mut PackedLanes)> {
-        self.starts
-            .iter()
-            .zip(self.shards.iter_mut())
-            .map(|(&start, shard)| {
-                let batch = shard.batch();
-                (start..start + batch, shard)
-            })
-    }
-}
-
-/// The immutable per-step solve context a [`ShardedBatchSolver`] hands
-/// to shard workers after the serial prepare phase: the shared
-/// factorization (read-only), the capacitances and the step size.
-///
-/// External fleet engines embed [`StepKernel::step_shard`] into their
-/// own worker loops to fuse per-server dynamics with the thermal solve
-/// in one parallel region.
-#[derive(Debug)]
-pub struct StepKernel<'a, B: SolverBackend> {
-    backend: &'a B,
-    c: &'a [f64],
-    h: f64,
-    structure_hash: u64,
-}
-
-impl<B: SolverBackend> Clone for StepKernel<'_, B> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<B: SolverBackend> Copy for StepKernel<'_, B> {}
-
-impl<B: SolverBackend> StepKernel<'_, B> {
-    /// Advances one shard by the prepared step: change-driven
-    /// lane-major source refresh, contiguous right-hand-side build and
-    /// blocked substitution through the shared factors. `net_of` maps
-    /// a shard-local lane offset to its network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::SingularSystem`] when no valid factors
-    /// are held and [`ThermalError::Diverged`] on a non-finite
-    /// temperature.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a lane's network does not match the template
-    /// topology.
-    pub fn step_shard<'n, F>(&self, shard: &mut PackedLanes, net_of: F) -> Result<(), ThermalError>
-    where
-        F: Fn(usize) -> &'n ThermalNetwork,
-    {
-        shard.refresh_sources(&net_of, self.structure_hash);
-        shard.solve_be_block(self.backend, self.c, self.h, &net_of)
-    }
-}
-
-/// Steps [`ShardedLanes`] through one shared backward-Euler
-/// factorization on a scoped worker pool — the parallel counterpart of
-/// [`BatchSolver::step_packed`], bit-identical to it (and to scalar
-/// stepping) for every thread and shard count.
-#[derive(Debug, Clone)]
-pub struct ShardedBatchSolver<B: SolverBackend = AutoBackend> {
-    inner: BatchSolver<B>,
-    plan: ShardPlan,
-    /// Flow generation seen per lane at the last homogeneity check.
-    flow_gens: Vec<u64>,
-    /// `true` while every lane is known to share the reference flow
-    /// signature.
-    homogeneous: bool,
-}
-
-impl ShardedBatchSolver<AutoBackend> {
-    /// Builds a sharded solver for the template's topology with the
-    /// environment's thread plan ([`ShardPlan::from_env`]).
-    #[must_use]
-    pub fn new(template: &ThermalNetwork) -> Self {
-        Self::with_plan(template, ShardPlan::from_env())
-    }
-
-    /// Builds a sharded solver with an explicit plan.
-    #[must_use]
-    pub fn with_plan(template: &ThermalNetwork, plan: ShardPlan) -> Self {
-        Self::with_backend_plan(template, plan)
-    }
-}
-
-impl<B: SolverBackend + Clone> ShardedBatchSolver<B> {
-    /// Builds a sharded solver over an explicit backend and plan.
-    #[must_use]
-    pub fn with_backend_plan(template: &ThermalNetwork, plan: ShardPlan) -> Self {
-        Self {
-            inner: BatchSolver::<B>::with_backend(template),
-            plan,
-            flow_gens: Vec::new(),
-            homogeneous: false,
-        }
-    }
-
-    /// The work partition in force.
-    #[must_use]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of live shared factorizations.
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.inner.group_count()
-    }
-
-    /// The underlying per-lane [`BatchSolver`] — fleets fall back to
-    /// its mixed-signature `step` when lane flows diverge, sharing the
-    /// same factorization cache.
-    pub fn lane_solver_mut(&mut self) -> &mut BatchSolver<B> {
-        &mut self.inner
-    }
-
-    /// Serial phase of a step: verifies flow homogeneity across all
-    /// `count` lanes (change-driven on flow generations) and resolves
-    /// the shared factorization. Returns the read-only [`StepKernel`]
-    /// the parallel phase solves through.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::MixedBatchSignatures`] when lane flows
-    /// have diverged and [`ThermalError::SingularSystem`] when the
-    /// factorization fails.
-    pub fn prepare<'n, F>(
-        &mut self,
-        net_of: F,
-        count: usize,
-        dt: SimDuration,
-    ) -> Result<StepKernel<'_, B>, ThermalError>
-    where
-        F: Fn(usize) -> &'n ThermalNetwork,
-    {
-        let h = dt.as_secs_f64();
-        if self.flow_gens.len() != count {
-            self.flow_gens.clear();
-            self.flow_gens.resize(count, 0);
-            self.homogeneous = false;
-        }
-        let mut moved = false;
-        for (lane, gen) in self.flow_gens.iter_mut().enumerate() {
-            let g = net_of(lane).flow_generation();
-            if *gen != g {
-                *gen = g;
-                moved = true;
-            }
-        }
-        if moved || !self.homogeneous {
-            if !self.inner.flows_homogeneous(&net_of, count) {
-                self.homogeneous = false;
-                return Err(ThermalError::MixedBatchSignatures);
-            }
-            self.homogeneous = true;
-        }
-        let group = self.inner.ensure_shared_group(net_of(0), h)?;
-        Ok(StepKernel {
-            backend: self.inner.group_backend(group),
-            c: self.inner.capacitances(),
-            h,
-            structure_hash: self.inner.template_structure_hash(),
-        })
-    }
-}
-
-impl<B: SolverBackend + Clone + Sync> ShardedBatchSolver<B> {
-    /// Advances every packed lane by `dt` through one shared
-    /// factorization, stepping shards concurrently on a
-    /// [`std::thread::scope`] worker per shard (inline when the batch
-    /// is single-shard). Results are bit-identical to
-    /// [`BatchSolver::step_packed`] for any plan.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchSolver::step_packed`]; with several shards failing at
-    /// once, the lowest shard's error is reported.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nets` does not match the packed shape or a network
-    /// is not structurally identical to the template.
-    pub fn step<N: Borrow<ThermalNetwork> + Sync>(
-        &mut self,
-        nets: &[N],
-        lanes: &mut ShardedLanes,
-        dt: SimDuration,
-    ) -> Result<(), ThermalError> {
-        self.step_with(|lane| nets[lane].borrow(), nets.len(), lanes, dt)
-    }
-
-    /// As [`Self::step`], with lane networks resolved through a
-    /// closure — for callers whose networks are not contiguous in
-    /// memory (fleets of servers, hash-grouped members).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::step`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::step`].
-    pub fn step_with<'n, F>(
-        &mut self,
-        net_of: F,
-        count: usize,
-        lanes: &mut ShardedLanes,
-        dt: SimDuration,
-    ) -> Result<(), ThermalError>
-    where
-        F: Fn(usize) -> &'n ThermalNetwork + Sync,
-    {
-        if dt.is_zero() || count == 0 {
-            return Ok(());
-        }
-        assert_eq!(count, lanes.lanes(), "network count must match lanes");
-        let kernel = self.prepare(&net_of, count, dt)?;
-        step_shards_once(&kernel, &net_of, lanes)
-    }
-
-    /// Advances every packed lane by `steps × dt` with inputs frozen
-    /// (guaranteed by the shared borrow of the networks): the serial
-    /// prepare runs once, then every worker iterates its shard's full
-    /// step sequence independently — zero cross-thread synchronization
-    /// inside the run, which is what makes sharded stepping scale to
-    /// the core count. Bit-identical to calling [`Self::step`] `steps`
-    /// times.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::step`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::step`].
-    pub fn step_many<N: Borrow<ThermalNetwork> + Sync>(
-        &mut self,
-        nets: &[N],
-        lanes: &mut ShardedLanes,
-        steps: u64,
-        dt: SimDuration,
-    ) -> Result<(), ThermalError> {
-        if dt.is_zero() || nets.is_empty() || steps == 0 {
-            return Ok(());
-        }
-        assert_eq!(nets.len(), lanes.lanes(), "network count must match lanes");
-        let net_of = |lane: usize| nets[lane].borrow();
-        let kernel = self.prepare(net_of, nets.len(), dt)?;
-        if lanes.shard_count() == 1 {
-            let shard = &mut lanes.shards[0];
-            for _ in 0..steps {
-                kernel.step_shard(shard, net_of)?;
-            }
-            return Ok(());
-        }
-        let starts = &lanes.starts;
-        thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(lanes.shards.len());
-            for (shard, &start) in lanes.shards.iter_mut().zip(starts) {
-                let kernel = &kernel;
-                handles.push(scope.spawn(move || {
-                    for _ in 0..steps {
-                        kernel.step_shard(shard, |offset| net_of(start + offset))?;
-                    }
-                    Ok(())
-                }));
-            }
-            join_shard_results(handles)
-        })
-    }
-}
-
-/// Runs one prepared step over every shard — inline when single-shard,
-/// one scoped worker per shard otherwise.
-fn step_shards_once<'n, B, F>(
-    kernel: &StepKernel<'_, B>,
-    net_of: &F,
-    lanes: &mut ShardedLanes,
-) -> Result<(), ThermalError>
-where
-    B: SolverBackend + Sync,
-    F: Fn(usize) -> &'n ThermalNetwork + Sync,
-{
-    if lanes.shard_count() == 1 {
-        return kernel.step_shard(&mut lanes.shards[0], net_of);
-    }
-    let starts = &lanes.starts;
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(lanes.shards.len());
-        for (shard, &start) in lanes.shards.iter_mut().zip(starts) {
-            handles.push(
-                scope.spawn(move || kernel.step_shard(shard, |offset| net_of(start + offset))),
-            );
-        }
-        join_shard_results(handles)
-    })
-}
-
-/// Joins shard workers in shard order, reporting the lowest-indexed
-/// failure (deterministic regardless of completion order).
-fn join_shard_results(
-    handles: Vec<thread::ScopedJoinHandle<'_, Result<(), ThermalError>>>,
-) -> Result<(), ThermalError> {
-    let mut first_err = None;
-    for handle in handles {
-        let result = handle
-            .join()
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        if first_err.is_none() {
-            first_err = result.err();
-        }
-    }
-    first_err.map_or(Ok(()), Err)
-}
-
-/// Partitions items by structure hash in first-seen order: returns the
-/// member lists of input *positions*, one list per distinct hash — the
-/// single grouping policy shared by [`HeteroBatch`] and the core
-/// fleet engine.
-#[must_use]
-pub fn group_by_structure_hash(hashes: impl Iterator<Item = u64>) -> Vec<Vec<usize>> {
-    let mut seen: Vec<u64> = Vec::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (position, hash) in hashes.enumerate() {
-        match seen.iter().position(|&h| h == hash) {
-            Some(g) => groups[g].push(position),
-            None => {
-                seen.push(hash);
-                groups.push(vec![position]);
-            }
-        }
-    }
-    groups
-}
-
-/// A heterogeneous (mixed-topology) batch: lanes partitioned by
-/// [`ThermalNetwork::structure_hash`] into per-SKU groups, each stepped
-/// through its own [`ShardedBatchSolver`] — so a room of several server
-/// SKUs batches within each SKU instead of falling back to scalar
-/// stepping.
-///
-/// Lane order is the caller's: `nets[i]` and `states[i]` stay lane `i`
-/// through [`HeteroBatch::step`] and [`HeteroBatch::unpack_into`],
-/// whatever group they land in.
-#[derive(Debug)]
-pub struct HeteroBatch<B: SolverBackend + Clone = AutoBackend> {
-    groups: Vec<HeteroGroup<B>>,
-}
-
-#[derive(Debug)]
-struct HeteroGroup<B: SolverBackend + Clone> {
-    /// Caller lane indices of this group's members, in caller order.
-    members: Vec<usize>,
-    solver: ShardedBatchSolver<B>,
-    lanes: ShardedLanes,
-}
-
-impl<B: SolverBackend + Clone> HeteroBatch<B> {
-    /// Packs a mixed fleet: lanes are grouped by structure hash
-    /// (first-seen order), each group packing its member states per
-    /// `plan`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nets` is empty or disagrees with `states` in count
-    /// or dimension.
-    #[must_use]
-    pub fn pack<N: Borrow<ThermalNetwork>>(
-        nets: &[N],
-        states: &[ThermalState],
-        plan: ShardPlan,
-    ) -> Self {
-        assert!(!nets.is_empty(), "heterogeneous batch needs lanes");
-        assert_eq!(nets.len(), states.len(), "one state per network");
-        let member_lists =
-            group_by_structure_hash(nets.iter().map(|n| n.borrow().structure_hash()));
-        let groups = member_lists
-            .into_iter()
-            .map(|members| {
-                let member_states: Vec<ThermalState> =
-                    members.iter().map(|&lane| states[lane].clone()).collect();
-                let solver = ShardedBatchSolver::with_backend_plan(nets[members[0]].borrow(), plan);
-                let lanes = ShardedLanes::pack(&member_states, &plan);
-                HeteroGroup {
-                    members,
-                    solver,
-                    lanes,
-                }
-            })
-            .collect();
-        Self { groups }
-    }
-
-    /// Number of structure-hash groups (distinct SKUs).
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Total live shared factorizations across all groups (1 per group
-    /// while each SKU runs one `(dt, flow)` operating point).
-    #[must_use]
-    pub fn shared_factorizations(&self) -> usize {
-        self.groups.iter().map(|g| g.solver.group_count()).sum()
-    }
-
-    /// Advances every lane by `dt`, each hash group batching through
-    /// its own shared factorization and shard workers.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedBatchSolver::step`], per group; the first failing
-    /// group (in first-seen hash order) reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nets` does not match the packed fleet (count,
-    /// per-lane topology).
-    pub fn step<N: Borrow<ThermalNetwork> + Sync>(
-        &mut self,
-        nets: &[N],
-        dt: SimDuration,
-    ) -> Result<(), ThermalError>
-    where
-        B: Sync,
-    {
-        let total: usize = self.groups.iter().map(|g| g.members.len()).sum();
-        assert_eq!(
-            nets.len(),
-            total,
-            "network count must match the packed fleet"
-        );
-        for group in &mut self.groups {
-            let members = &group.members;
-            group.solver.step_with(
-                |pos| nets[members[pos]].borrow(),
-                members.len(),
-                &mut group.lanes,
-                dt,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Writes every lane's packed temperatures back into `states`
-    /// (caller lane order).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `states` does not match the packed fleet.
-    pub fn unpack_into(&self, states: &mut [ThermalState]) {
-        for group in &self.groups {
-            for (pos, &lane) in group.members.iter().enumerate() {
-                group.lanes.unpack_lane_into(pos, &mut states[lane]);
-            }
-        }
-    }
-
-    /// The hottest packed temperature across the whole fleet.
-    #[must_use]
-    pub fn max_temperature(&self) -> f64 {
-        self.groups
-            .iter()
-            .map(|g| g.lanes.max_temperature())
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::DenseBackend;
-    use crate::network::{Coupling, ThermalNetworkBuilder};
-    use leakctl_units::{AirFlow, Celsius, ThermalCapacitance, ThermalConductance, Watts};
-
-    fn build_server_like(
-        sockets: usize,
-    ) -> (ThermalNetwork, Vec<crate::NodeId>, crate::FlowChannelId) {
-        let mut b = ThermalNetworkBuilder::new();
-        let amb = b.add_boundary("ambient", Celsius::new(24.0));
-        let ch = b.add_flow_channel("chassis");
-        let model = crate::ConvectionModel::turbulent(
-            ThermalConductance::new(3.4),
-            AirFlow::from_cfm(300.0),
-        );
-        let mut dies = Vec::new();
-        for s in 0..sockets {
-            let die = b.add_node(&format!("die{s}"), ThermalCapacitance::new(80.0));
-            let sink = b.add_node(&format!("sink{s}"), ThermalCapacitance::new(400.0));
-            b.connect(
-                die,
-                sink,
-                Coupling::Conductance(ThermalConductance::new(10.0)),
-            )
-            .unwrap();
-            b.connect(sink, amb, Coupling::Convective { channel: ch, model })
-                .unwrap();
-            dies.push(die);
-        }
-        let mut net = b.build().unwrap();
-        net.set_flow(ch, AirFlow::from_cfm(250.0)).unwrap();
-        (net, dies, ch)
-    }
-
-    fn fleet(count: usize, sockets: usize) -> Vec<ThermalNetwork> {
-        (0..count)
-            .map(|lane| {
-                let (mut net, dies, _) = build_server_like(sockets);
-                for (s, &die) in dies.iter().enumerate() {
-                    net.set_power(die, Watts::new(40.0 + 3.0 * lane as f64 + s as f64))
-                        .unwrap();
-                }
-                net
-            })
-            .collect()
-    }
+    use crate::batch::{BatchSolver, PackedLanes};
+    use crate::error::ThermalError;
+    use crate::network::{Coupling, FlowChannelId, ThermalNetwork, ThermalNetworkBuilder};
+    use leakctl_units::{
+        AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts,
+    };
 
     #[test]
     fn plan_partition_is_deterministic_and_covers() {
-        let plan = ShardPlan::new(4).with_min_lanes_per_shard(1);
+        let plan = ShardPlan::new(4);
         let ranges = plan.ranges(10);
         assert_eq!(ranges.len(), 4);
         assert_eq!(ranges[0], 0..3);
@@ -809,225 +120,123 @@ mod tests {
         assert_eq!(ranges[2], 6..8);
         assert_eq!(ranges[3], 8..10);
         assert_eq!(plan.ranges(10), ranges, "pure function of the plan");
-        // Default width keeps small batches whole.
-        assert_eq!(ShardPlan::new(8).shard_count(20), 1);
-        assert_eq!(ShardPlan::new(8).shard_count(64), 4);
+        // Never more shards than units; nothing to split, no shards.
+        assert_eq!(ShardPlan::new(8).shard_count(3), 3);
+        assert_eq!(ShardPlan::new(8).ranges(3), vec![0..1, 1..2, 2..3]);
         assert_eq!(ShardPlan::new(2).shard_count(64), 2);
+        assert!(ShardPlan::new(2).ranges(0).is_empty());
         assert_eq!(ShardPlan::new(0).threads(), 1, "clamped");
     }
 
-    #[test]
-    fn sharded_step_bit_identical_to_packed_for_any_plan() {
-        let nets = fleet(13, 2);
-        let states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(24.0)))
-            .collect();
-        let dt = SimDuration::from_secs(1);
-
-        let mut reference = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
-        let mut packed = PackedLanes::pack(&states);
-        for _ in 0..100 {
-            reference.step_packed(&nets, &mut packed, dt).unwrap();
-        }
-        let mut want: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(0.0)))
-            .collect();
-        packed.unpack_into(&mut want);
-
-        for threads in [1usize, 2, 8] {
-            for min_width in [1usize, 3, 16] {
-                let plan = ShardPlan::new(threads).with_min_lanes_per_shard(min_width);
-                let mut solver =
-                    ShardedBatchSolver::<DenseBackend>::with_backend_plan(&nets[0], plan);
-                let mut lanes = ShardedLanes::pack(&states, &plan);
-                for _ in 0..100 {
-                    solver.step(&nets, &mut lanes, dt).unwrap();
-                }
-                let mut got: Vec<_> = nets
-                    .iter()
-                    .map(|n| n.uniform_state(Celsius::new(0.0)))
-                    .collect();
-                lanes.unpack_into(&mut got);
-                for (lane, (a, b)) in got.iter().zip(&want).enumerate() {
-                    for (i, (x, y)) in a.temperatures().iter().zip(b.temperatures()).enumerate() {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "threads {threads} width {min_width} lane {lane} slot {i}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn step_many_matches_stepwise() {
-        let nets = fleet(40, 2);
-        let states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(24.0)))
-            .collect();
-        let dt = SimDuration::from_secs(1);
-        let plan = ShardPlan::new(3).with_min_lanes_per_shard(4);
-
-        let mut a = ShardedBatchSolver::<DenseBackend>::with_backend_plan(&nets[0], plan);
-        let mut lanes_a = ShardedLanes::pack(&states, &plan);
-        a.step_many(&nets, &mut lanes_a, 80, dt).unwrap();
-
-        let mut b = ShardedBatchSolver::<DenseBackend>::with_backend_plan(&nets[0], plan);
-        let mut lanes_b = ShardedLanes::pack(&states, &plan);
-        for _ in 0..80 {
-            b.step(&nets, &mut lanes_b, dt).unwrap();
-        }
-        for lane in 0..nets.len() {
-            for slot in 0..nets[0].state_count() {
-                assert_eq!(
-                    lanes_a.lane_temperature(lane, slot).to_bits(),
-                    lanes_b.lane_temperature(lane, slot).to_bits(),
-                    "lane {lane} slot {slot}"
-                );
-            }
-        }
-        assert!(lanes_a.max_temperature() > 24.0);
+    fn server_like(power: f64) -> (ThermalNetwork, FlowChannelId) {
+        let mut b = ThermalNetworkBuilder::new();
+        let die = b.add_node("die", ThermalCapacitance::new(80.0));
+        let sink = b.add_node("sink", ThermalCapacitance::new(400.0));
+        let amb = b.add_boundary("ambient", Celsius::new(24.0));
+        b.connect(
+            die,
+            sink,
+            Coupling::Conductance(ThermalConductance::new(10.0)),
+        )
+        .unwrap();
+        let ch = b.add_flow_channel("chassis");
+        let model = crate::ConvectionModel::turbulent(
+            ThermalConductance::new(3.4),
+            AirFlow::from_cfm(300.0),
+        );
+        b.connect(sink, amb, Coupling::Convective { channel: ch, model })
+            .unwrap();
+        let mut net = b.build().unwrap();
+        net.set_flow(ch, AirFlow::from_cfm(250.0)).unwrap();
+        net.set_power(die, Watts::new(power)).unwrap();
+        (net, ch)
     }
 
     #[test]
     fn mixed_flows_rejected_then_recoverable() {
-        let mut nets = fleet(6, 1);
+        // Six servers split over two shards, each shard one packed
+        // block with its own solver. A flow diverging inside one shard
+        // rejects that shard's step (its block untouched) without
+        // touching the other; once flows re-converge every shard
+        // steps again, bit-identical to one unsharded block.
+        let (mut nets, chs): (Vec<_>, Vec<_>) = (0..6)
+            .map(|i| server_like(40.0 + 3.0 * f64::from(i)))
+            .unzip();
         let states: Vec<_> = nets
             .iter()
             .map(|n| n.uniform_state(Celsius::new(24.0)))
             .collect();
-        let plan = ShardPlan::new(2).with_min_lanes_per_shard(1);
-        let mut solver = ShardedBatchSolver::with_plan(&nets[0], plan);
-        let mut lanes = ShardedLanes::pack(&states, &plan);
-        let dt = SimDuration::from_secs(1);
-        solver.step(&nets, &mut lanes, dt).unwrap();
-        // Diverge one lane's flow: the shared-factorization contract
-        // breaks.
-        let ch = crate::FlowChannelId(0);
-        nets[3].set_flow(ch, AirFlow::from_cfm(500.0)).unwrap();
-        assert_eq!(
-            solver.step(&nets, &mut lanes, dt),
-            Err(ThermalError::MixedBatchSignatures)
-        );
-        // Re-converge: stepping resumes.
-        nets[3].set_flow(ch, AirFlow::from_cfm(250.0)).unwrap();
-        solver.step(&nets, &mut lanes, dt).unwrap();
-    }
-
-    #[test]
-    fn sharded_lane_accessors_agree_with_unpack() {
-        let nets = fleet(9, 2);
-        let states: Vec<_> = nets
+        let ranges = ShardPlan::new(2).ranges(nets.len());
+        let mut shards: Vec<_> = ranges
             .iter()
-            .map(|n| n.uniform_state(Celsius::new(24.0)))
-            .collect();
-        let plan = ShardPlan::new(3).with_min_lanes_per_shard(2);
-        let mut solver = ShardedBatchSolver::with_plan(&nets[0], plan);
-        let mut lanes = ShardedLanes::pack(&states, &plan);
-        for _ in 0..50 {
-            solver
-                .step(&nets, &mut lanes, SimDuration::from_secs(1))
-                .unwrap();
-        }
-        let mut unpacked: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(0.0)))
-            .collect();
-        lanes.unpack_into(&mut unpacked);
-        let n = nets[0].state_count();
-        for (lane, state) in unpacked.iter().enumerate() {
-            let mut single = nets[lane].uniform_state(Celsius::new(0.0));
-            lanes.unpack_lane_into(lane, &mut single);
-            assert_eq!(state, &single);
-            for slot in 0..n {
-                assert_eq!(
-                    lanes.lane_temperature(lane, slot),
-                    state.temperatures()[slot]
-                );
-            }
-            let mut partial = nets[lane].uniform_state(Celsius::new(-1.0));
-            lanes.copy_lane_slots_into(lane, &[0, n - 1], &mut partial);
-            assert_eq!(partial.temperatures()[0], state.temperatures()[0]);
-            assert_eq!(partial.temperatures()[n - 1], state.temperatures()[n - 1]);
-        }
-    }
-
-    #[test]
-    fn hetero_batch_groups_by_structure_and_matches_scalar() {
-        use crate::solver::Integrator;
-        use crate::stepper::TransientSolver;
-        // Interleaved SKUs: 1-, 2- and 3-socket topologies.
-        let sockets_of = |lane: usize| 1 + lane % 3;
-        let nets: Vec<ThermalNetwork> = (0..12)
-            .map(|lane| {
-                let (mut net, dies, _) = build_server_like(sockets_of(lane));
-                for (s, &die) in dies.iter().enumerate() {
-                    net.set_power(die, Watts::new(35.0 + 5.0 * lane as f64 + s as f64))
-                        .unwrap();
-                }
-                net
-            })
-            .collect();
-        let states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(24.0)))
-            .collect();
-        let plan = ShardPlan::new(2).with_min_lanes_per_shard(2);
-        let mut hetero = HeteroBatch::<DenseBackend>::pack(&nets, &states, plan);
-        assert_eq!(hetero.group_count(), 3, "three SKUs, three groups");
-
-        let mut reference: Vec<_> = nets
-            .iter()
-            .map(|n| {
+            .map(|r| {
                 (
-                    TransientSolver::<DenseBackend>::with_backend(n),
-                    n.uniform_state(Celsius::new(24.0)),
+                    BatchSolver::new(&nets[0]),
+                    PackedLanes::pack(&states[r.clone()]),
                 )
             })
             .collect();
+        let mut whole_solver = BatchSolver::new(&nets[0]);
+        let mut whole = PackedLanes::pack(&states);
         let dt = SimDuration::from_secs(1);
-        for _ in 0..200 {
-            hetero.step(&nets, dt).unwrap();
-            for (net, (solver, state)) in nets.iter().zip(reference.iter_mut()) {
-                solver
-                    .step(net, state, dt, Integrator::BackwardEuler)
-                    .unwrap();
-            }
-        }
-        assert_eq!(hetero.shared_factorizations(), 3, "one per SKU");
-        let mut got: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(0.0)))
-            .collect();
-        hetero.unpack_into(&mut got);
-        for (lane, (a, (_, b))) in got.iter().zip(&reference).enumerate() {
-            for (i, (x, y)) in a.temperatures().iter().zip(b.temperatures()).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "lane {lane} slot {i}");
-            }
-        }
-        assert!(hetero.max_temperature() > 24.0);
-    }
-
-    #[test]
-    fn zero_dt_and_zero_steps_are_noops() {
-        let nets = fleet(3, 1);
-        let states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(24.0)))
-            .collect();
-        let plan = ShardPlan::new(2).with_min_lanes_per_shard(1);
-        let mut solver = ShardedBatchSolver::with_plan(&nets[0], plan);
-        let mut lanes = ShardedLanes::pack(&states, &plan);
-        solver.step(&nets, &mut lanes, SimDuration::ZERO).unwrap();
-        solver
-            .step_many(&nets, &mut lanes, 0, SimDuration::from_secs(1))
+        let step_shards = |nets: &[ThermalNetwork],
+                           shards: &mut [(BatchSolver, PackedLanes)]|
+         -> Vec<Result<(), ThermalError>> {
+            ranges
+                .iter()
+                .zip(shards.iter_mut())
+                .map(|(r, (solver, packed))| {
+                    solver.step_packed(|lane| &nets[r.start + lane], packed, dt)
+                })
+                .collect()
+        };
+        assert!(step_shards(&nets, &mut shards).iter().all(Result::is_ok));
+        whole_solver
+            .step_packed(|lane| &nets[lane], &mut whole, dt)
             .unwrap();
-        assert_eq!(lanes.max_temperature(), 24.0);
-        assert_eq!(solver.group_count(), 0);
+
+        // Diverge one lane's flow in the second shard: the
+        // shared-factorization contract breaks there only.
+        nets[3].set_flow(chs[3], AirFlow::from_cfm(500.0)).unwrap();
+        let before = shards[1].1.clone();
+        let results = step_shards(&nets, &mut shards);
+        assert!(results[0].is_ok());
+        assert_eq!(results[1], Err(ThermalError::MixedBatchSignatures));
+        for lane in 0..before.batch() {
+            for slot in 0..before.dimension() {
+                assert_eq!(
+                    shards[1].1.lane_temperature(lane, slot).to_bits(),
+                    before.lane_temperature(lane, slot).to_bits(),
+                    "rejected step is a no-op"
+                );
+            }
+        }
+
+        // Re-converge: stepping resumes in every shard. Reset to a
+        // common state so the sharded blocks and the whole block start
+        // the recovery leg level.
+        nets[3].set_flow(chs[3], AirFlow::from_cfm(250.0)).unwrap();
+        for (r, (_, packed)) in ranges.iter().zip(shards.iter_mut()) {
+            *packed = PackedLanes::pack(&states[r.clone()]);
+        }
+        whole = PackedLanes::pack(&states);
+        for _ in 0..40 {
+            assert!(step_shards(&nets, &mut shards).iter().all(Result::is_ok));
+            whole_solver
+                .step_packed(|lane| &nets[lane], &mut whole, dt)
+                .unwrap();
+        }
+        for (r, (_, packed)) in ranges.iter().zip(&shards) {
+            for (offset, lane) in r.clone().enumerate() {
+                for slot in 0..whole.dimension() {
+                    assert_eq!(
+                        packed.lane_temperature(offset, slot).to_bits(),
+                        whole.lane_temperature(lane, slot).to_bits(),
+                        "lane {lane} slot {slot}"
+                    );
+                }
+            }
+        }
+        assert!(whole.max_temperature() > 24.0);
     }
 }

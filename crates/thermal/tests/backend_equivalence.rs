@@ -1,15 +1,12 @@
 //! Equivalence properties for the solver backends and the batch
 //! engine: whatever path steps the network — dense per-server, CSR
-//! sparse, per-lane batched, packed batched, thread-sharded packed or
-//! hash-grouped heterogeneous — the trajectory must match the dense
-//! per-server reference to ≤ 1e-12 relative (and the sharded paths
-//! must be *bit-identical* across thread and shard counts), across
+//! sparse, per-lane batched or packed batched — the trajectory must
+//! match the dense per-server reference to ≤ 1e-12 relative, across
 //! randomized topologies, batch sizes and mid-run input changes.
 
 use leakctl_thermal::{
-    BatchLane, BatchSolver, Coupling, CsrBackend, DenseBackend, HeteroBatch, Integrator,
-    PackedLanes, ShardPlan, ShardedBatchSolver, ShardedLanes, ThermalNetwork,
-    ThermalNetworkBuilder, TransientSolver,
+    BatchLane, BatchSolver, Coupling, CsrBackend, DenseBackend, Integrator, PackedLanes,
+    ThermalNetwork, ThermalNetworkBuilder, TransientSolver,
 };
 use leakctl_units::{AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
 use proptest::prelude::*;
@@ -237,8 +234,7 @@ proptest! {
                 .collect();
             batch_solver.step(&mut lanes, dt).unwrap();
             if packed_live {
-                let nets: Vec<ThermalNetwork> = rigs.iter().map(|r| r.net.clone()).collect();
-                match packed_solver.step_packed(&nets, &mut packed, dt) {
+                match packed_solver.step_packed(|lane| &rigs[lane].net, &mut packed, dt) {
                     Ok(()) => {}
                     Err(leakctl_thermal::ThermalError::MixedBatchSignatures) => {
                         assert!(step == flow_change_at && batch > 1, "only on divergence");
@@ -366,161 +362,5 @@ proptest! {
         dense.steady_state_into(&net, &mut ssd).unwrap();
         csr.steady_state_into(&net, &mut ssc).unwrap();
         assert_close(ssc.temperatures(), ssd.temperatures(), "rack-scale steady state");
-    }
-
-    /// Packed sharded stepping is *bit-identical* across thread counts
-    /// {1, 2, 8} and arbitrary shard widths: the work partition is a
-    /// pure performance knob. The reference is the single-block
-    /// `step_packed` path (itself bit-identical to scalar stepping),
-    /// with a mid-run power change exercising the lane-major refresh.
-    #[test]
-    fn sharded_stepping_bit_identical_across_thread_and_shard_counts(
-        batch in 1usize..10,
-        branches in 1usize..3,
-        caps in prop::collection::vec(20.0..900.0f64, 7),
-        conductances in prop::collection::vec(0.8..12.0f64, 7),
-        base_power in 20.0..120.0f64,
-        ambient in 15.0..35.0f64,
-        cfm in 60.0..500.0f64,
-        min_width in 1usize..6,
-        power_change_at in 5usize..25,
-    ) {
-        let powers: Vec<f64> = (0..branches).map(|i| base_power + 7.0 * i as f64).collect();
-        let mut rigs: Vec<Rig> = (0..batch)
-            .map(|_| build_rig(branches, &caps, &conductances, &powers, ambient, cfm))
-            .collect();
-        for (lane, rig) in rigs.iter_mut().enumerate() {
-            rig.net
-                .set_power(rig.dies[0], Watts::new(base_power + 9.0 * lane as f64))
-                .unwrap();
-        }
-        let dt = SimDuration::from_secs(1);
-        let run = |rigs: &mut [Rig], threads: Option<usize>, min_width: usize| -> Vec<Vec<u64>> {
-            let states: Vec<_> = rigs
-                .iter()
-                .map(|r| r.net.uniform_state(Celsius::new(ambient)))
-                .collect();
-            let mut packed_solver = BatchSolver::new(&rigs[0].net);
-            let mut packed = PackedLanes::pack(&states);
-            let mut sharded = threads.map(|t| {
-                let plan = ShardPlan::new(t).with_min_lanes_per_shard(min_width);
-                (
-                    ShardedBatchSolver::with_plan(&rigs[0].net, plan),
-                    ShardedLanes::pack(&states, &plan),
-                )
-            });
-            for step in 0..30 {
-                if step == power_change_at {
-                    let rig = &mut rigs[0];
-                    rig.net.set_power(rig.dies[0], Watts::new(190.0)).unwrap();
-                }
-                let nets: Vec<ThermalNetwork> = rigs.iter().map(|r| r.net.clone()).collect();
-                match sharded.as_mut() {
-                    Some((solver, lanes)) => solver.step(&nets, lanes, dt).unwrap(),
-                    None => packed_solver.step_packed(&nets, &mut packed, dt).unwrap(),
-                }
-            }
-            let mut out: Vec<_> = rigs
-                .iter()
-                .map(|r| r.net.uniform_state(Celsius::new(0.0)))
-                .collect();
-            match sharded.as_ref() {
-                Some((_, lanes)) => lanes.unpack_into(&mut out),
-                None => packed.unpack_into(&mut out),
-            }
-            out.iter()
-                .map(|s| s.temperatures().iter().map(|t| t.to_bits()).collect())
-                .collect()
-        };
-        // Reset the power change between runs by re-deriving rigs each
-        // time: run() mutates rig 0 at power_change_at, so rebuild.
-        let reference = run(&mut rigs, None, 1);
-        for threads in [1usize, 2, 8] {
-            let mut rigs: Vec<Rig> = (0..batch)
-                .map(|_| build_rig(branches, &caps, &conductances, &powers, ambient, cfm))
-                .collect();
-            for (lane, rig) in rigs.iter_mut().enumerate() {
-                rig.net
-                    .set_power(rig.dies[0], Watts::new(base_power + 9.0 * lane as f64))
-                    .unwrap();
-            }
-            let got = run(&mut rigs, Some(threads), min_width);
-            prop_assert_eq!(
-                &got,
-                &reference,
-                "threads {} width {} diverged from packed reference",
-                threads,
-                min_width
-            );
-        }
-    }
-
-    /// Hash-grouped heterogeneous batches: a fleet mixing several
-    /// distinct topologies, partitioned by structure hash and batched
-    /// per group, must match independent dense per-server solvers to
-    /// ≤ 1e-12 on every lane.
-    #[test]
-    fn hetero_hash_groups_track_dense_reference(
-        lanes in 2usize..8,
-        caps in prop::collection::vec(20.0..900.0f64, 7),
-        conductances in prop::collection::vec(0.8..12.0f64, 7),
-        base_power in 20.0..120.0f64,
-        ambient in 15.0..35.0f64,
-        cfm in 60.0..500.0f64,
-        power_change_at in 5usize..25,
-    ) {
-        // Lane i gets 1 + i % 3 branches: at least two distinct
-        // topologies, interleaved in caller order.
-        let mut rigs: Vec<Rig> = (0..lanes)
-            .map(|lane| {
-                let branches = 1 + lane % 3;
-                let powers: Vec<f64> = (0..branches)
-                    .map(|i| base_power + 5.0 * lane as f64 + 2.0 * i as f64)
-                    .collect();
-                build_rig(branches, &caps, &conductances, &powers, ambient, cfm)
-            })
-            .collect();
-        let nets: Vec<ThermalNetwork> = rigs.iter().map(|r| r.net.clone()).collect();
-        let states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(ambient)))
-            .collect();
-        let plan = ShardPlan::new(2).with_min_lanes_per_shard(1);
-        let mut hetero = HeteroBatch::<DenseBackend>::pack(&nets, &states, plan);
-        prop_assert!(hetero.group_count() >= 2, "mixed fleet must split");
-        let mut reference: Vec<_> = nets
-            .iter()
-            .map(|n| {
-                (
-                    TransientSolver::<DenseBackend>::with_backend(n),
-                    n.uniform_state(Celsius::new(ambient)),
-                )
-            })
-            .collect();
-        let dt = SimDuration::from_secs(1);
-        let mut nets = nets;
-        for step in 0..40 {
-            if step == power_change_at {
-                let die = rigs[0].dies[0];
-                nets[0].set_power(die, Watts::new(200.0)).unwrap();
-            }
-            hetero.step(&nets, dt).unwrap();
-            for (net, (solver, state)) in nets.iter().zip(reference.iter_mut()) {
-                solver.step(net, state, dt, Integrator::BackwardEuler).unwrap();
-            }
-        }
-        let _ = &mut rigs;
-        let mut got: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(0.0)))
-            .collect();
-        hetero.unpack_into(&mut got);
-        for (lane, (state, (_, ref_state))) in got.iter().zip(&reference).enumerate() {
-            assert_close(
-                state.temperatures(),
-                ref_state.temperatures(),
-                &format!("lane {lane} (hetero hash group)"),
-            );
-        }
     }
 }
