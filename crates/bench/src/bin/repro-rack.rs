@@ -19,8 +19,9 @@
 //!   perturbed every step (as leakage feedback does in a live fleet),
 //!   so per-lane source refresh is part of the measurement.
 //! - `rack128_fleet_step` — the full `Fleet::step` (batched thermal
-//!   solve *plus* per-server dynamics and telemetry), for context on
-//!   end-to-end rack throughput.
+//!   solve *plus* per-server fan, failsafe and power dynamics on
+//!   headless `ServerCore`s; a fleet keeps no telemetry), for context
+//!   on end-to-end rack throughput.
 //!
 //! Every measurement runs on one thread: a rack steps as one packed
 //! block, and the simulator parallelizes only across racks and rooms.
@@ -118,9 +119,9 @@ fn bench_batch_dynamic(steps: u64) -> PerfResult {
 }
 
 /// End-to-end `Fleet::step` (batched thermal solve + per-server
-/// dynamics + telemetry) at rack scale.
+/// dynamics on headless cores) at rack scale.
 fn bench_fleet_step(steps: u64) -> PerfResult {
-    let mut fleet = Fleet::new(ServerConfig::default(), RACK, 0.0002, 42).expect("fleet builds");
+    let mut fleet = Fleet::new(ServerConfig::default(), RACK, 0.0002).expect("fleet builds");
     for _ in 0..120 {
         fleet
             .step(SimDuration::from_secs(1), Utilization::FULL)

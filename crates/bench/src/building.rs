@@ -111,7 +111,6 @@ impl BuildingSpec {
             self.base.servers_per_rack,
         );
         config.recirculation_fraction = self.beta;
-        config.seed = self.base.seed;
         config
     }
 

@@ -221,7 +221,6 @@ impl FaultsScenario {
             self.base.servers_per_rack,
         );
         config.recirculation_fraction = self.beta;
-        config.seed = self.base.seed;
         let mut room = Room::new(config).expect("fault-sweep room builds");
         room.apply(&ControlAction::hold().with_fan_floor(Rpm::new(self.base.fan_floor)))
             .expect("fan floor applies");

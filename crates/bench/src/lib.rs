@@ -517,7 +517,7 @@ pub struct RoomKernel {
 
 impl RoomKernel {
     /// Builds a `rows × racks_per_row` room of `servers_per_rack`
-    /// default servers, seeded with [`REPRO_SEED`].
+    /// default servers.
     ///
     /// # Panics
     ///
@@ -527,8 +527,7 @@ impl RoomKernel {
     pub fn new(rows: usize, racks_per_row: usize, servers_per_rack: usize) -> Self {
         use leakctl::control::ControlAction;
         use leakctl_units::Rpm;
-        let mut config = leakctl::room::RoomConfig::new(rows, racks_per_row, servers_per_rack);
-        config.seed = REPRO_SEED;
+        let config = leakctl::room::RoomConfig::new(rows, racks_per_row, servers_per_rack);
         let mut room = leakctl::room::Room::new(config).expect("room builds");
         room.apply(&ControlAction::hold().with_fan_floor(Rpm::new(3000.0)))
             .expect("fan floor applies");

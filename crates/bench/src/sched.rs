@@ -79,7 +79,7 @@ pub struct SchedScenario {
     /// (watts per server; the greedy feasibility check multiplies by
     /// the rack's server count).
     pub budget_per_server: f64,
-    /// Room and job-stream seed.
+    /// Job-stream and profiling-twin seed.
     pub seed: u64,
 }
 
@@ -229,7 +229,6 @@ impl SchedScenario {
         let mut config = RoomConfig::new(self.rows, self.racks_per_row, self.servers_per_rack);
         config.recirculation_fraction = self.recirculation;
         config.die_limit = Celsius::new(self.die_limit);
-        config.seed = self.seed;
         let mut room = Room::new(config).expect("scenario room builds");
         room.apply(&ControlAction::hold().with_fan_floor(Rpm::new(self.fan_floor)))
             .expect("fan floor applies");

@@ -76,7 +76,7 @@ pub struct SetPointScenario {
     /// Tile-flow balancer gain carried by the adaptive controllers
     /// (fraction of flow moved per °C of hot-spot imbalance).
     pub balancer_gain: f64,
-    /// Room seed.
+    /// Sensor seed of the profiling twin.
     pub seed: u64,
 }
 
@@ -264,7 +264,6 @@ impl SetPointScenario {
     fn run_one(&self, beta: f64, controller: &mut dyn RoomController, name: &str) -> SetPointRun {
         let mut config = RoomConfig::new(self.rows, self.racks_per_row, self.servers_per_rack);
         config.recirculation_fraction = beta;
-        config.seed = self.seed;
         let mut room = Room::new(config).expect("scenario room builds");
         room.apply(&ControlAction::hold().with_fan_floor(Rpm::new(self.fan_floor)))
             .expect("fan floor applies");

@@ -49,19 +49,11 @@ pub struct BuildingConfig {
 }
 
 impl BuildingConfig {
-    /// A building of `rooms` identical rooms, with each room's sensor
-    /// seed offset so no two rooms share RNG streams.
+    /// A building of `rooms` identical rooms.
     #[must_use]
     pub fn uniform(rooms: usize, room: &RoomConfig, plant: ChilledWaterSpec) -> Self {
-        let rooms = (0..rooms)
-            .map(|i| {
-                let mut cfg = room.clone();
-                cfg.seed = room.seed.wrapping_add((i as u64) * 1_000_003);
-                cfg
-            })
-            .collect();
         Self {
-            rooms,
+            rooms: vec![room.clone(); rooms],
             plant,
             air_approach: 5.0,
         }

@@ -3,10 +3,17 @@
 //!
 //! [`Fleet`] supersedes the original scalar `Rack` (which stepped each
 //! server's thermal network through its own per-server solve) while
-//! preserving its public API. The physics is unchanged and
-//! bit-identical: per-server fan dynamics, failsafe, power models and
-//! telemetry run exactly as in `Server::step`; only the thermal
-//! integration is hoisted out and solved for all servers at once.
+//! preserving its public API. Members are headless
+//! [`ServerCore`]s: fan dynamics, failsafe, power models and accounting
+//! run through the core's own phase protocol, exactly as inside
+//! `Server::step`; only the thermal integration is hoisted out and
+//! solved for all servers at once. A fleet carries no CSTH telemetry or
+//! event trace: nothing at rack or room scale reads them (controllers,
+//! schedulers and the supervisor take die maxima from
+//! [`Fleet::die_temps_view`]), sensors never fed back into the physics,
+//! and without a per-server history a fleet's memory does not grow
+//! with simulated time. The trajectory stays bit-identical to a scalar
+//! `Server::step` loop.
 //!
 //! The stepping engine works in two layers:
 //!
@@ -20,9 +27,8 @@
 //!   slot-major [`PackedLanes`] block *between* steps, stepped through
 //!   [`BatchSolver::step_packed`]: no per-step gather/scatter. Each
 //!   step syncs only the CPU-die slots back into the servers (the
-//!   slots per-server dynamics read); a lane is fully unpacked only on
-//!   the steps whose telemetry poll actually reads it, or when
-//!   [`Fleet::server`]/[`Fleet::server_mut`] is called. When flows
+//!   slots per-server dynamics read); a lane is fully unpacked only
+//!   when [`Fleet::server`]/[`Fleet::server_mut`] is called. When flows
 //!   diverge (per-server fan commands), the group transparently falls
 //!   back to the per-lane [`BatchSolver::step`] and re-packs once flows
 //!   re-converge.
@@ -39,7 +45,7 @@
 
 use std::ops::Range;
 
-use leakctl_platform::{FanFault, PlatformError, Server, ServerConfig};
+use leakctl_platform::{FanFault, PlatformError, ServerConfig, ServerCore};
 use leakctl_thermal::{
     BatchLane, BatchSolver, Integrator, PackedLanes, ThermalError, ThermalState,
 };
@@ -86,7 +92,7 @@ struct FleetGroup {
 /// use leakctl_units::{Rpm, SimDuration, Utilization};
 ///
 /// # fn main() -> Result<(), leakctl::CoreError> {
-/// let mut fleet = Fleet::new(ServerConfig::default(), 4, 0.004, 42)?;
+/// let mut fleet = Fleet::new(ServerConfig::default(), 4, 0.004)?;
 /// fleet.command_all(Rpm::new(2400.0));
 /// for _ in 0..60 {
 ///     fleet.step(SimDuration::from_secs(1), Utilization::FULL)?;
@@ -99,7 +105,7 @@ struct FleetGroup {
 pub struct Fleet {
     /// Servers in storage order: hash groups first (each contiguous),
     /// then scalar-integrated servers.
-    servers: Vec<Server>,
+    servers: Vec<ServerCore>,
     /// `index_map[original] = storage` — public indices are original
     /// construction order.
     index_map: Vec<usize>,
@@ -112,9 +118,7 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Builds a fleet of `count` servers from a shared config; each
-    /// server gets an independent sensor-noise stream derived from
-    /// `seed`.
+    /// Builds a fleet of `count` servers from a shared config.
     ///
     /// # Errors
     ///
@@ -124,16 +128,14 @@ impl Fleet {
         config: ServerConfig,
         count: usize,
         recirculation_k_per_w: f64,
-        seed: u64,
     ) -> Result<Self, CoreError> {
-        Self::from_configs(&vec![config; count], recirculation_k_per_w, seed)
+        Self::from_configs(&vec![config; count], recirculation_k_per_w)
     }
 
     /// Builds a heterogeneous (mixed-SKU) fleet: server `i` is built
-    /// from `configs[i]` (seeded `seed + i`). Servers are grouped by
-    /// thermal-topology hash, and each group batches through its own
-    /// shared factorizations — a room of several SKUs still steps
-    /// batched within each SKU. The room temperature is taken from the
+    /// from `configs[i]`. Servers are grouped by thermal-topology hash,
+    /// and each group batches through its own shared factorizations —
+    /// a room of several SKUs still steps batched within each SKU. The room temperature is taken from the
     /// first config's ambient.
     ///
     /// # Errors
@@ -142,7 +144,6 @@ impl Fleet {
     pub fn from_configs(
         configs: &[ServerConfig],
         recirculation_k_per_w: f64,
-        seed: u64,
     ) -> Result<Self, CoreError> {
         if configs.is_empty() {
             return Err(CoreError::Invalid {
@@ -156,9 +157,8 @@ impl Fleet {
         }
         let built = configs
             .iter()
-            .enumerate()
-            .map(|(i, config)| Server::new(config.clone(), seed.wrapping_add(i as u64)))
-            .collect::<Result<Vec<Server>, PlatformError>>()?;
+            .map(|config| ServerCore::new(config.clone()))
+            .collect::<Result<Vec<ServerCore>, PlatformError>>()?;
         let room = configs[0].ambient;
 
         // Partition original indices: batched servers by first-seen
@@ -188,8 +188,8 @@ impl Fleet {
         for (storage, &original) in order.iter().enumerate() {
             index_map[original] = storage;
         }
-        let mut by_storage: Vec<Option<Server>> = built.into_iter().map(Some).collect();
-        let mut servers: Vec<Server> = Vec::with_capacity(order.len());
+        let mut by_storage: Vec<Option<ServerCore>> = built.into_iter().map(Some).collect();
+        let mut servers: Vec<ServerCore> = Vec::with_capacity(order.len());
         for &original in &order {
             let Some(server) = by_storage[original].take() else {
                 return Err(CoreError::Invalid {
@@ -206,7 +206,7 @@ impl Fleet {
                     range,
                     solver: BatchSolver::new(template.thermal_network()),
                     lanes: None,
-                    die_slots: template.core().die_state_slots(),
+                    die_slots: template.die_state_slots(),
                 }
             })
             .collect();
@@ -246,12 +246,12 @@ impl Fleet {
         }
     }
 
-    /// Access to an individual server (e.g. to read per-server
-    /// telemetry or ground truth). Takes `&mut self` because the
-    /// fleet's thermal state lives packed in the batch engine between
-    /// steps: this lazily syncs the server's full state first.
+    /// Access to an individual server's headless core (ground-truth
+    /// temperatures, powers, energy, fans). Takes `&mut self` because
+    /// the fleet's thermal state lives packed in the batch engine
+    /// between steps: this lazily syncs the server's full state first.
     #[must_use]
-    pub fn server(&mut self, index: usize) -> Option<&Server> {
+    pub fn server(&mut self, index: usize) -> Option<&ServerCore> {
         if index >= self.servers.len() {
             return None;
         }
@@ -266,7 +266,7 @@ impl Fleet {
     /// the packed copy would shadow); the group re-packs on the next
     /// step.
     #[must_use]
-    pub fn server_mut(&mut self, index: usize) -> Option<&mut Server> {
+    pub fn server_mut(&mut self, index: usize) -> Option<&mut ServerCore> {
         if index >= self.servers.len() {
             return None;
         }
@@ -314,7 +314,7 @@ impl Fleet {
     /// residency. `members` is exactly the group's server run
     /// (`servers[group.range]` in storage coordinates — callers that
     /// hold the full vector slice it first).
-    fn evict_group(group: &mut FleetGroup, members: &mut [Server]) {
+    fn evict_group(group: &mut FleetGroup, members: &mut [ServerCore]) {
         if let Some(lanes) = group.lanes.take() {
             assert_eq!(members.len(), group.range.len(), "group member slice");
             for (offset, server) in members.iter_mut().enumerate() {
@@ -371,10 +371,9 @@ impl Fleet {
     }
 
     /// Snapshots the full fleet — every server's thermal state, fan
-    /// bank (faults included), service processor, clock, accounting
-    /// and sensor RNG streams — in original index order. Packed blocks
-    /// are synced into the servers first, so the snapshot is exact
-    /// regardless of residency.
+    /// bank (faults included), service processor, clock and accounting
+    /// — in original index order. Packed blocks are synced into the
+    /// servers first, so the snapshot is exact regardless of residency.
     pub fn checkpoint(&mut self) -> FleetCheckpoint {
         self.sync_states();
         FleetCheckpoint {
@@ -509,7 +508,14 @@ impl Fleet {
                 .solver
                 .step_packed(|i| servers[i].thermal_network(), lanes, dt);
             match stepped {
-                Ok(()) => return finish_packed(lanes, servers, &group.die_slots, dt),
+                Ok(()) => {
+                    for (i, server) in servers.iter_mut().enumerate() {
+                        let (_, state) = server.split_thermal();
+                        lanes.copy_lane_slots_into(i, &group.die_slots, state);
+                        server.finish_step(dt);
+                    }
+                    return Ok(());
+                }
                 // Per-server fan commands diverged: state returns to
                 // the servers until flows re-converge.
                 Err(ThermalError::MixedBatchSignatures) => Self::evict_group(group, servers),
@@ -530,7 +536,7 @@ impl Fleet {
             .step(&mut lanes, dt)
             .map_err(PlatformError::from)?;
         for server in servers.iter_mut() {
-            server.finish_step(dt)?;
+            server.finish_step(dt);
         }
         Ok(())
     }
@@ -619,13 +625,13 @@ impl Fleet {
     }
 }
 
-/// A full fleet snapshot, produced by [`Fleet::checkpoint`]: server
-/// clones (thermal state, fans, faults, accounting, RNG streams) in
-/// original index order, restorable into any fleet built from the same
-/// configs for a bit-identical resume.
+/// A full fleet snapshot, produced by [`Fleet::checkpoint`]: core
+/// clones (thermal state, fans, faults, accounting) in original index
+/// order, restorable into any fleet built from the same configs for a
+/// bit-identical resume.
 #[derive(Debug, Clone)]
 pub struct FleetCheckpoint {
-    servers: Vec<Server>,
+    servers: Vec<ServerCore>,
 }
 
 impl FleetCheckpoint {
@@ -659,46 +665,23 @@ fn group_by_structure_hash(hashes: impl Iterator<Item = u64>) -> Vec<Vec<usize>>
     groups
 }
 
-/// After a packed solve: per server, the cheap die-slot sync (full
-/// unpack only when this step's telemetry poll reads the state) and
-/// the clock/telemetry finish.
-fn finish_packed(
-    lanes: &PackedLanes,
-    servers: &mut [Server],
-    die_slots: &[usize],
-    dt: SimDuration,
-) -> Result<(), CoreError> {
-    for (i, server) in servers.iter_mut().enumerate() {
-        let end = server.now() + dt;
-        let poll_due = server.telemetry_poll_pending(end);
-        {
-            let (_, state) = server.split_thermal();
-            if poll_due {
-                lanes.unpack_lane_into(i, state);
-            } else {
-                lanes.copy_lane_slots_into(i, die_slots, state);
-            }
-        }
-        server.finish_step(dt)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
+    use leakctl_platform::Server;
+
     use super::*;
 
     #[test]
     fn construction_validated() {
         assert!(matches!(
-            Fleet::new(ServerConfig::default(), 0, 0.0, 1),
+            Fleet::new(ServerConfig::default(), 0, 0.0),
             Err(CoreError::Invalid { .. })
         ));
         assert!(matches!(
-            Fleet::new(ServerConfig::default(), 2, -1.0, 1),
+            Fleet::new(ServerConfig::default(), 2, -1.0),
             Err(CoreError::Invalid { .. })
         ));
-        let mut fleet = Fleet::new(ServerConfig::default(), 3, 0.001, 1).unwrap();
+        let mut fleet = Fleet::new(ServerConfig::default(), 3, 0.001).unwrap();
         assert_eq!(fleet.len(), 3);
         assert!(!fleet.is_empty());
         assert_eq!(fleet.hash_group_count(), 1, "homogeneous fleet, one SKU");
@@ -710,7 +693,7 @@ mod tests {
     #[test]
     fn recirculation_raises_inlet_and_dies() {
         let run = |k: f64| {
-            let mut fleet = Fleet::new(ServerConfig::default(), 4, k, 7).unwrap();
+            let mut fleet = Fleet::new(ServerConfig::default(), 4, k).unwrap();
             fleet.command_all(Rpm::new(2400.0));
             for _ in 0..1_800 {
                 fleet
@@ -731,7 +714,7 @@ mod tests {
 
     #[test]
     fn fleet_energy_is_sum_of_servers() {
-        let mut fleet = Fleet::new(ServerConfig::default(), 2, 0.0, 3).unwrap();
+        let mut fleet = Fleet::new(ServerConfig::default(), 2, 0.0).unwrap();
         fleet.command_all(Rpm::new(3000.0));
         for _ in 0..300 {
             fleet
@@ -742,15 +725,11 @@ mod tests {
             .map(|i| fleet.server(i).unwrap().total_energy().value())
             .sum();
         assert!((fleet.total_energy().value() - sum).abs() < 1e-9);
-        // Different sensor seeds per server, same physics.
-        let a = fleet.server(0).unwrap().measured_cpu_temps();
-        let b = fleet.server(1).unwrap().measured_cpu_temps();
-        assert_ne!(a, b, "per-server sensor streams must differ");
     }
 
     #[test]
     fn per_server_control_through_mut_access() {
-        let mut fleet = Fleet::new(ServerConfig::default(), 2, 0.0, 5).unwrap();
+        let mut fleet = Fleet::new(ServerConfig::default(), 2, 0.0).unwrap();
         fleet
             .server_mut(0)
             .unwrap()
@@ -777,11 +756,11 @@ mod tests {
     fn batched_fleet_bit_identical_to_scalar_server_loop() {
         // The batch engine must not change the physics: a fleet stepped
         // through resident packed storage and shared factorizations
-        // reproduces an identically seeded scalar Server::step loop bit
-        // for bit — energy, temperatures and telemetry alike.
+        // reproduces a scalar Server::step loop bit for bit — energy and
+        // every ground-truth temperature alike.
         let count = 3;
         let k = 0.002;
-        let mut fleet = Fleet::new(ServerConfig::default(), count, k, 11).unwrap();
+        let mut fleet = Fleet::new(ServerConfig::default(), count, k).unwrap();
         fleet.command_all(Rpm::new(2700.0));
 
         let config = ServerConfig::default();
@@ -818,8 +797,6 @@ mod tests {
                 "server {i} die temperature"
             );
             assert_eq!(a.total_energy(), b.total_energy(), "server {i} energy");
-            let a_temps = fleet.server(i).unwrap().measured_cpu_temps();
-            assert_eq!(a_temps, b.measured_cpu_temps(), "server {i} telemetry");
             // Full ground-truth state (air/sink nodes included) syncs
             // lazily through the accessor.
             for socket in 0..2 {
@@ -858,7 +835,7 @@ mod tests {
             })
             .collect();
         let k = 0.001;
-        let mut fleet = Fleet::from_configs(&configs, k, 31).unwrap();
+        let mut fleet = Fleet::from_configs(&configs, k).unwrap();
         assert_eq!(fleet.hash_group_count(), 2, "two SKUs, two hash groups");
         fleet.command_all(Rpm::new(3000.0));
 
@@ -894,11 +871,6 @@ mod tests {
                 "server {i} die temperature"
             );
             assert_eq!(a.total_energy(), b.total_energy(), "server {i} energy");
-            assert_eq!(
-                fleet.server(i).unwrap().measured_cpu_temps(),
-                b.measured_cpu_temps(),
-                "server {i} telemetry"
-            );
         }
     }
 
@@ -923,7 +895,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut fleet = Fleet::from_configs(&configs, 0.0, 17).unwrap();
+        let mut fleet = Fleet::from_configs(&configs, 0.0).unwrap();
         assert_eq!(fleet.hash_group_count(), 2);
         fleet.command_all(Rpm::new(3000.0));
         let dt = SimDuration::from_secs(1);
@@ -1014,7 +986,7 @@ mod tests {
             integrator: Integrator::ExponentialEuler,
             ..ServerConfig::default()
         };
-        let mut fleet = Fleet::new(config, 2, 0.0, 9).unwrap();
+        let mut fleet = Fleet::new(config, 2, 0.0).unwrap();
         for _ in 0..120 {
             fleet
                 .step(SimDuration::from_secs(1), Utilization::FULL)
@@ -1027,7 +999,7 @@ mod tests {
 
     #[test]
     fn die_temps_view_reads_packed_blocks_without_eviction() {
-        let mut fleet = Fleet::new(ServerConfig::default(), 5, 0.001, 19).unwrap();
+        let mut fleet = Fleet::new(ServerConfig::default(), 5, 0.001).unwrap();
         for _ in 0..200 {
             fleet
                 .step(SimDuration::from_secs(1), Utilization::FULL)
@@ -1059,7 +1031,7 @@ mod tests {
 
     #[test]
     fn degraded_fan_fault_heats_the_faulted_server() {
-        let mut fleet = Fleet::new(ServerConfig::default(), 3, 0.0, 23).unwrap();
+        let mut fleet = Fleet::new(ServerConfig::default(), 3, 0.0).unwrap();
         fleet.command_all(Rpm::new(3000.0));
         for _ in 0..300 {
             fleet
@@ -1114,7 +1086,7 @@ mod tests {
 
     #[test]
     fn stuck_fans_ignore_fleet_commands() {
-        let mut fleet = Fleet::new(ServerConfig::default(), 2, 0.0, 29).unwrap();
+        let mut fleet = Fleet::new(ServerConfig::default(), 2, 0.0).unwrap();
         fleet.command_all(Rpm::new(1800.0));
         for _ in 0..60 {
             fleet
@@ -1160,16 +1132,15 @@ mod tests {
         let configs = vec![ServerConfig::default(); 5];
 
         // Uninterrupted reference.
-        let mut reference = Fleet::from_configs(&configs, 0.001, 37).unwrap();
+        let mut reference = Fleet::from_configs(&configs, 0.001).unwrap();
         reference.command_all(Rpm::new(2400.0));
         for step in 0..200 {
             reference.step(dt, schedule(step)).unwrap();
         }
         let want = fingerprint(&mut reference);
 
-        // Checkpoint mid-run, restore into a *fresh* fleet built with a
-        // different seed, continue.
-        let mut live = Fleet::from_configs(&configs, 0.001, 37).unwrap();
+        // Checkpoint mid-run, restore into a *fresh* fleet, continue.
+        let mut live = Fleet::from_configs(&configs, 0.001).unwrap();
         live.command_all(Rpm::new(2400.0));
         for step in 0..100 {
             live.step(dt, schedule(step)).unwrap();
@@ -1183,7 +1154,7 @@ mod tests {
         }
         assert_eq!(fingerprint(&mut live), want, "checkpoint perturbed the run");
 
-        let mut restored = Fleet::from_configs(&configs, 0.001, 99).unwrap();
+        let mut restored = Fleet::from_configs(&configs, 0.001).unwrap();
         restored.restore(&snap).unwrap();
         for step in 100..200 {
             restored.step(dt, schedule(step)).unwrap();
@@ -1191,13 +1162,13 @@ mod tests {
         assert_eq!(fingerprint(&mut restored), want, "restored run diverged");
 
         // Mismatched fleets are rejected.
-        let mut small = Fleet::from_configs(&configs[..2], 0.001, 37).unwrap();
+        let mut small = Fleet::from_configs(&configs[..2], 0.001).unwrap();
         assert!(small.restore(&snap).is_err());
     }
 
     #[test]
     fn sync_states_exposes_packed_temperatures() {
-        let mut fleet = Fleet::new(ServerConfig::default(), 2, 0.0, 13).unwrap();
+        let mut fleet = Fleet::new(ServerConfig::default(), 2, 0.0).unwrap();
         for _ in 0..120 {
             fleet
                 .step(SimDuration::from_secs(1), Utilization::FULL)

@@ -78,8 +78,9 @@ pub struct RoomConfig {
     /// Telemetry only — the room never enforces it; controllers and
     /// schedulers spend the margin.
     pub die_limit: Celsius,
-    /// Base seed; server `i` of rack `r` derives its sensor streams
-    /// from `seed + r·servers_per_rack + i`.
+    /// Unused: a room's servers are headless cores with no sensor
+    /// noise, so no output of a room depends on it. Kept so existing
+    /// configs still build.
     pub seed: u64,
 }
 
@@ -319,15 +320,8 @@ impl Room {
         config.validate()?;
         let racks = config.racks();
         let spr = config.servers_per_rack;
-        let rack_configs = vec![config.server.clone(); spr];
         let fleets = (0..racks)
-            .map(|r| {
-                Fleet::from_configs(
-                    &rack_configs,
-                    0.0,
-                    config.seed.wrapping_add((r * spr) as u64),
-                )
-            })
+            .map(|_| Fleet::new(config.server.clone(), spr, 0.0))
             .collect::<Result<Vec<Fleet>, CoreError>>()?;
         let spec = RoomAirSpec::with_tile_flows(
             config.crah_supply,
@@ -522,11 +516,10 @@ impl Room {
     }
 
     /// Snapshots the full room — every rack's fleet (thermal state,
-    /// fan banks with injected faults, service processors, sensor RNG
-    /// streams), the air-side network with its boundary conditions and
-    /// fault state, and the energy/time accounting. Packed blocks are
-    /// synced first, so the snapshot is exact for any residency or
-    /// thread plan.
+    /// fan banks with injected faults, service processors), the
+    /// air-side network with its boundary conditions and fault state,
+    /// and the energy/time accounting. Packed blocks are synced first,
+    /// so the snapshot is exact for any residency or thread plan.
     pub fn checkpoint(&mut self) -> RoomCheckpoint {
         RoomCheckpoint {
             fleets: self.fleets.iter_mut().map(Fleet::checkpoint).collect(),

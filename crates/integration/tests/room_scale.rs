@@ -46,18 +46,16 @@ fn steady_state_crah_heat_out_equals_fleet_power() {
 #[test]
 fn one_rack_room_reproduces_scalar_fleet_trajectory() {
     let count = 3;
-    let seed = 77;
     let server = ServerConfig::default();
 
     let mut config = RoomConfig::new(1, 1, count);
     config.server = server.clone();
     config.recirculation_fraction = 0.0;
     config.crah_supply = server.ambient;
-    config.seed = seed;
     let mut room = Room::new(config).unwrap();
     pin_fans(&mut room, 2700.0);
 
-    let mut fleet = Fleet::new(server, count, 0.0, seed).unwrap();
+    let mut fleet = Fleet::new(server, count, 0.0).unwrap();
     fleet.command_all(Rpm::new(2700.0));
 
     let dt = SimDuration::from_secs(1);

@@ -15,10 +15,11 @@
 //!    [`ServerCore::split_thermal`] lanes from many cores at once;
 //! 3. [`ServerCore::finish_step`] advances the simulation clock.
 //!
-//! [`ServerCore::step`] runs the three phases back to back for headless
-//! (telemetry-free) stepping. `Server` wraps the same phases and adds
-//! CSTH polling and event tracing on top, so both paths advance the
-//! physics identically.
+//! [`ServerCore::step`] runs the three phases back to back. This is the
+//! one phase API: [`Server::step`](crate::Server::step) is
+//! `ServerCore::step` followed by failsafe tracing and CSTH polling,
+//! and a rack-scale fleet drives the three phases itself around one
+//! packed batch solve, so both paths advance the physics identically.
 
 use leakctl_sim::Clock;
 use leakctl_thermal::{
@@ -59,10 +60,10 @@ pub enum SpTransition {
 /// The digital-twin server minus telemetry: components, thermal model,
 /// failsafe, clock and accounting.
 ///
-/// Use it directly for headless fleet simulation (no sensor noise, no
-/// CSTH history), or through [`Server`](crate::Server) for the full
-/// telemetry-observed machine. See the module docs for the
-/// begin/integrate/finish phase protocol.
+/// Fleets, rooms and buildings step it headless (no sensor noise, no
+/// CSTH history, no event trace); [`Server`](crate::Server) wraps one
+/// for the paper's telemetry-observed single machine. See the module
+/// docs for the begin/integrate/finish phase protocol.
 #[derive(Debug, Clone)]
 pub struct ServerCore {
     pub(crate) config: ServerConfig,
@@ -281,7 +282,8 @@ impl ServerCore {
     /// the slots per-step dynamics read (failsafe, power models,
     /// leakage). A fleet engine keeping thermal state resident in
     /// packed batch storage syncs exactly these slots back into the
-    /// core each step and defers full unpacks to telemetry reads.
+    /// core each step and unpacks the full state only when a caller
+    /// asks for one core.
     #[must_use]
     pub fn die_state_slots(&self) -> Vec<usize> {
         self.socket_nodes

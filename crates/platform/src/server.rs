@@ -2,7 +2,6 @@
 
 use leakctl_sim::{Periodic, SimRng, TraceRecorder};
 use leakctl_telemetry::{ChannelId, Csth, Sensor, SensorSpec, CSTH_POLL_PERIOD};
-use leakctl_thermal::{ThermalNetwork, ThermalState};
 use leakctl_units::{Celsius, Joules, Rpm, SimDuration, SimInstant, Utilization, Watts};
 
 use crate::config::ServerConfig;
@@ -43,13 +42,12 @@ struct Sensors {
 /// [`Server::step`], command cooling with [`Server::command_fan_speed`],
 /// and observe it the way the paper's DLC-PC does — through telemetry.
 ///
-/// For rack-scale fleets, the per-step thermal integration can be
-/// lifted out and batched: [`Server::begin_step`] applies fan/power
-/// dynamics, [`Server::split_thermal`] exposes the network/state lane
-/// for a shared-factorization
-/// [`BatchSolver`](leakctl_thermal::BatchSolver) solve, and
-/// [`Server::finish_step`] advances the clock and polls telemetry —
-/// producing bit-identical trajectories to per-server stepping.
+/// This is the paper's single-server path. Rack- and room-scale
+/// fleets step headless [`ServerCore`]s instead: nothing at that scale
+/// reads per-server telemetry, and the core's phase protocol
+/// (`begin_step` / external batch solve over `split_thermal` /
+/// `finish_step`) advances the physics bit-identically to
+/// [`Server::step`].
 ///
 /// See the [crate-level example](crate) for basic use.
 #[derive(Debug, Clone)]
@@ -186,23 +184,11 @@ impl Server {
         self.core.config()
     }
 
-    /// The stepping core (physics + accounting, no telemetry).
+    /// The stepping core (physics + accounting, no telemetry) — e.g.
+    /// for its thermal network and state.
     #[must_use]
     pub fn core(&self) -> &ServerCore {
         &self.core
-    }
-
-    /// The thermal network (read side).
-    #[must_use]
-    pub fn thermal_network(&self) -> &ThermalNetwork {
-        self.core.thermal_network()
-    }
-
-    /// The thermal state (read side) — e.g. for packing a fleet's
-    /// states into batch storage.
-    #[must_use]
-    pub fn thermal_state(&self) -> &ThermalState {
-        self.core.thermal_state()
     }
 
     /// Ground-truth die temperature of `socket`.
@@ -453,102 +439,29 @@ impl Server {
 
     /// Advances the machine by `dt` with the given switching activity
     /// (the duty-cycle-averaged instantaneous load over the step, from
-    /// `LoadGen`).
+    /// `LoadGen`): one [`ServerCore::step`], failsafe transitions traced
+    /// at the step's start, then CSTH polling on its cadence.
     ///
     /// # Errors
     ///
     /// Propagates thermal-solver and telemetry failures.
     pub fn step(&mut self, dt: SimDuration, activity: Utilization) -> Result<(), PlatformError> {
-        if dt.is_zero() {
-            return Ok(());
-        }
-        self.begin_step(dt, activity)?;
-        self.core.integrate(dt)?;
-        self.finish_step(dt)
-    }
-
-    /// Phase 1 of a batch-integrated step: fan dynamics, failsafe,
-    /// component powers and accounting — everything up to (but not
-    /// including) the thermal integration, with failsafe transitions
-    /// traced. Follow with an external solve over
-    /// [`Server::split_thermal`] (or [`ServerCore::integrate`] through
-    /// [`Server::step`]) and then [`Server::finish_step`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates thermal-network failures.
-    pub fn begin_step(
-        &mut self,
-        dt: SimDuration,
-        activity: Utilization,
-    ) -> Result<(), PlatformError> {
-        match self.core.begin_step(dt, activity)? {
+        let start = self.core.now();
+        match self.core.step(dt, activity)? {
             SpTransition::ForcedMaxCooling => {
                 self.trace.record(
-                    self.core.now(),
+                    start,
                     "service-processor",
                     "failsafe: forcing maximum cooling",
                 );
             }
             SpTransition::Released => {
                 self.trace
-                    .record(self.core.now(), "service-processor", "failsafe released");
+                    .record(start, "service-processor", "failsafe released");
             }
             SpTransition::None => {}
         }
-        Ok(())
-    }
-
-    /// As [`Server::begin_step`], first re-pinning the inlet (ambient)
-    /// boundary to an externally computed temperature — the per-step
-    /// coupling hook for room-scale air models, where a cold-aisle
-    /// volume (not the scalar `T_room + r·P` drift) supplies each
-    /// rack's inlet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates thermal-network failures.
-    pub fn begin_step_with_inlet(
-        &mut self,
-        dt: SimDuration,
-        activity: Utilization,
-        inlet: Celsius,
-    ) -> Result<(), PlatformError> {
-        self.core.set_ambient(inlet)?;
-        self.begin_step(dt, activity)
-    }
-
-    /// The thermal network and mutable state as a batch lane — see
-    /// [`BatchSolver`](leakctl_thermal::BatchSolver). Valid between
-    /// [`Server::begin_step`] and [`Server::finish_step`].
-    #[must_use]
-    pub fn split_thermal(&mut self) -> (&ThermalNetwork, &mut ThermalState) {
-        self.core.split_thermal()
-    }
-
-    /// `true` when a step ending at `end` will poll CSTH telemetry —
-    /// i.e. when [`Server::finish_step`] will read the full thermal
-    /// state (die *and* DIMM nodes). Fleet engines that keep state
-    /// resident in packed batch storage use this to unpack a lane only
-    /// on the steps whose telemetry actually looks at it.
-    #[must_use]
-    pub fn telemetry_poll_pending(&self, end: SimInstant) -> bool {
-        self.poll.is_due(end)
-    }
-
-    /// Phase 3 of a batch-integrated step: advances the clock and polls
-    /// CSTH telemetry on its cadence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates telemetry failures.
-    pub fn finish_step(&mut self, dt: SimDuration) -> Result<(), PlatformError> {
-        if dt.is_zero() {
-            return Ok(());
-        }
-        self.core.finish_step(dt);
         let end = self.core.now();
-        // CSTH polling.
         while self.poll.is_due(end) {
             self.poll_telemetry()?;
             self.poll.advance();
@@ -938,30 +851,47 @@ mod tests {
 
     #[test]
     fn phased_step_bit_identical_to_plain_step() {
-        // The batch-integration protocol (begin / external-style
-        // integrate / finish) must reproduce Server::step exactly,
-        // telemetry included.
-        let mut phased = server();
+        // The fleet's batch-integration protocol on a headless core
+        // (begin / external batch solve / finish) must reproduce
+        // Server::step exactly: through a fan-command change and a
+        // degraded-fan fault that trips the failsafe.
+        let config = ServerConfig::default();
+        let mut phased = ServerCore::new(config.clone()).unwrap();
         let mut plain = server();
+        let mut solver = leakctl_thermal::BatchSolver::new(phased.thermal_network());
         let dt = SimDuration::from_secs(1);
-        for i in 0..240 {
+        for i in 0..2_400 {
             let act = if i % 50 < 25 {
                 Utilization::FULL
             } else {
                 Utilization::IDLE
             };
+            if i == 300 {
+                phased.command_fan_speed(Rpm::new(1800.0));
+                plain.command_fan_speed(Rpm::new(1800.0));
+            }
+            if i == 600 {
+                let fault = FanFault::Degraded { flow_scale: 0.3 };
+                phased.inject_fan_fault(fault);
+                plain.inject_fan_fault(fault);
+            }
             phased.begin_step(dt, act).unwrap();
             {
-                let mut solver = leakctl_thermal::BatchSolver::new(phased.thermal_network());
                 let (net, state) = phased.split_thermal();
                 let mut lanes = [leakctl_thermal::BatchLane { net, state }];
                 solver.step(&mut lanes, dt).unwrap();
             }
-            phased.finish_step(dt).unwrap();
+            phased.finish_step(dt);
             plain.step(dt, act).unwrap();
+            assert_eq!(
+                phased.max_die_temperature(),
+                plain.max_die_temperature(),
+                "step {i}"
+            );
         }
-        assert_eq!(phased.max_die_temperature(), plain.max_die_temperature());
         assert_eq!(phased.total_energy(), plain.total_energy());
-        assert_eq!(phased.measured_cpu_temps(), plain.measured_cpu_temps());
+        assert!(plain.failsafe_activations() > 0, "fault trips the failsafe");
+        assert_eq!(phased.failsafe_activations(), plain.failsafe_activations());
+        assert_eq!(phased.now(), plain.now());
     }
 }

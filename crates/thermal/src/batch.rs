@@ -187,7 +187,7 @@ impl PackedLanes {
     /// Copies only the given state slots of one lane into `state` —
     /// the cheap sync fleet engines use per step for the few slots
     /// (CPU dies) that per-server dynamics read, deferring the full
-    /// unpack to telemetry boundaries.
+    /// unpack until a caller reads one server's whole state.
     ///
     /// # Panics
     ///
